@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/streaming_reconstruct.hpp"
 #include "dsp/moving_average.hpp"
 #include "dsp/stats.hpp"
 #include "dsp/types.hpp"
@@ -140,47 +141,16 @@ std::vector<Real> DatcReconstructor::code_trajectory(
   return code;
 }
 
-std::vector<Real> DatcReconstructor::vth_trajectory(const EventStream& events,
-                                                    Real duration_s) const {
-  const std::size_t n = output_length(duration_s, config_.output_fs_hz);
-  std::vector<Real> vth(n);
-  const Real lsb =
-      config_.dac_vref / static_cast<Real>(1u << config_.dac_bits);
-  const auto& ev = events.events();
-  std::size_t next = 0;
-  // Until the first event arrives the receiver assumes the reset code (1).
-  Real held = lsb * 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Real t = static_cast<Real>(i) / config_.output_fs_hz;
-    while (next < ev.size() && ev[next].time_s <= t) {
-      held = lsb * static_cast<Real>(ev[next].vth_code);
-      ++next;
-    }
-    vth[i] = held;
-  }
-  return vth;
-}
-
 std::vector<Real> DatcReconstructor::reconstruct(const EventStream& events,
                                                  Real duration_s) const {
-  const auto rate = event_rate_estimate(events, duration_s, config_.window_s,
-                                        config_.output_fs_hz);
-  // The DTC hops between DAC levels frame by frame; the rate estimate
-  // aggregates over the window, so the inversion must see the matching
-  // window-averaged threshold, not the instantaneous staircase.
-  const auto w = static_cast<std::size_t>(
-      std::llround(config_.window_s * config_.output_fs_hz));
-  auto vth = vth_trajectory(events, duration_s);
-  vth = dsp::centered_moving_average(vth, std::max<std::size_t>(w, 1));
-
-  std::vector<Real> sigma_rate(rate.size());
-  for (std::size_t i = 0; i < rate.size(); ++i) {
-    sigma_rate[i] = vth[i] / cal_->u_for_rate(rate[i]);
-  }
-  if (mode_ == DatcDecodeMode::kRateInversion) {
-    for (auto& s : sigma_rate) s *= kArvOfSigma;
-    return sigma_rate;
-  }
+  // Rate inversion is the streaming core run over the record as one
+  // chunk: the window-averaged threshold over the inverted event rate.
+  StreamingDatcReconstructor stream(config_, cal_);
+  stream.push_events(events.events());
+  stream.finish(duration_s);
+  std::vector<Real> arv_rate;
+  stream.drain(arv_rate);
+  if (mode_ == DatcDecodeMode::kRateInversion) return arv_rate;
 
   // kCodeDuty: each transmitted code k testifies that the weighted duty
   // average measured over the *preceding* frames — at the thresholds then
@@ -192,7 +162,9 @@ std::vector<Real> DatcReconstructor::reconstruct(const EventStream& events,
   const Real lsb = config_.dac_vref / static_cast<Real>(levels);
 
   // Build the sigma estimate as a step function sampled at event times.
-  const std::size_t n = rate.size();
+  const std::size_t n = arv_rate.size();
+  const auto w = static_cast<std::size_t>(
+      std::llround(config_.window_s * config_.output_fs_hz));
   std::vector<Real> sigma_code(n, 0.0);
   std::array<unsigned, 3> hist{config_.min_code, config_.min_code,
                                config_.min_code};  // newest first
@@ -235,18 +207,19 @@ std::vector<Real> DatcReconstructor::reconstruct(const EventStream& events,
   const auto code_sm =
       dsp::centered_moving_average(code, std::max<std::size_t>(w, 1));
 
-  std::vector<Real> arv(n);
   const Real floor_code = static_cast<Real>(config_.min_code) + 0.5;
   for (std::size_t i = 0; i < n; ++i) {
-    Real sigma = sigma_code[i];
+    Real arv = kArvOfSigma * sigma_code[i];
     if (code_sm[i] <= floor_code) {
       // At the code floor the duty interval is one-sided (the signal may
       // be far below the lowest threshold); the rate tail disambiguates.
-      sigma = std::min(sigma, sigma_rate[i]);
+      // Scaling by the positive constant commutes with min() bit for bit
+      // (rounding is monotone), so the rate arm's ARV serves directly.
+      arv = std::min(arv, arv_rate[i]);
     }
-    arv[i] = kArvOfSigma * sigma;
+    arv_rate[i] = arv;
   }
-  return arv;
+  return arv_rate;
 }
 
 }  // namespace datc::core

@@ -102,6 +102,11 @@ enum class DatcDecodeMode {
 /// Reconstructs the ARV envelope from D-ATC events: the threshold level
 /// travels with every event, so the inversion always operates in its
 /// well-conditioned region regardless of the signal amplitude.
+///
+/// Batch = streaming whole-record: rate inversion runs the one
+/// implementation, StreamingDatcReconstructor (core/streaming_reconstruct),
+/// over the record as a single chunk, so batch and every chunking are the
+/// same code and the same bits. kCodeDuty takes its rate arm from there.
 class DatcReconstructor {
  public:
   DatcReconstructor(ReconstructionConfig config, CalibrationPtr calibration,
@@ -109,11 +114,6 @@ class DatcReconstructor {
 
   [[nodiscard]] std::vector<Real> reconstruct(const EventStream& events,
                                               Real duration_s) const;
-
-  /// The held threshold-voltage trajectory the receiver infers from the
-  /// event payloads (exposed for the benches' Fig. 3A reproduction).
-  [[nodiscard]] std::vector<Real> vth_trajectory(const EventStream& events,
-                                                 Real duration_s) const;
 
   [[nodiscard]] const RateCalibration& calibration() const { return *cal_; }
 

@@ -2,10 +2,13 @@
 #include "core/streaming_reconstruct.hpp"
 #include "dsp/types.hpp"
 #include "simd/dispatch.hpp"
+#include "simd/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 
 namespace datc::core {
@@ -15,29 +18,37 @@ namespace {
 /// reconstructor).
 constexpr Real kArvOfSigma = 0.7978845608028654;  // sqrt(2/pi)
 
-/// Run-batching depth: how far the vth trajectory may run ahead of the
-/// emitter beyond the half window (ring headroom), and therefore the cap
-/// on one batched emit. Changing it moves only ring geometry, never the
-/// computed values.
-constexpr std::size_t kRunLen = 64;
-
-/// Leading-true count of a monotone (true..true,false..false) predicate
-/// over the index range [begin, begin + count). The predicates used below
-/// compare (Real)j / fs against a constant — IEEE division is monotone in
-/// j, so binary search with the exact predicate is exact.
+/// Smallest j in [begin, end] with pred(j) true (end when none), pred
+/// monotone in j. Each predicate below compares (Real)j / fs (+- half)
+/// with a time, so it turns true at the first integer above X = that time
+/// (-+ half) * fs; `guess` is X in floating point. Roundings move X by a
+/// few ulps of X + half_fs + 1, 10^6 below `margin`, so away from an
+/// integer the answer is floor(X) + 1 with no division; near one (an
+/// event on a grid edge) the exact predicate walks from the guess.
 template <class Pred>
-std::size_t true_prefix(std::size_t begin, std::size_t count, Pred&& pred) {
-  std::size_t lo = 0;
-  std::size_t hi = count;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (pred(begin + mid)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
+std::size_t first_true(std::size_t begin, std::size_t end, Real guess,
+                       Real half_fs, Pred&& pred) {
+  if (guess >= static_cast<Real>(begin) && guess < static_cast<Real>(end)) {
+    const auto floor = static_cast<std::size_t>(guess);  // guess >= 0
+    const Real below = static_cast<Real>(floor);
+    const Real margin = 1e-9 * (guess + half_fs + 1.0);
+    if (guess - below > margin && below + 1.0 - guess > margin) {
+      return floor + 1;
     }
   }
-  return lo;
+  std::size_t g = begin;
+  if (guess > static_cast<Real>(begin)) {
+    g = guess < static_cast<Real>(end) ? static_cast<std::size_t>(guess)
+                                       : end;
+  }
+  if (g < end && !pred(g)) {
+    do {
+      ++g;
+    } while (g < end && !pred(g));
+    return g;
+  }
+  while (g > begin && pred(g - 1)) --g;
+  return g;
 }
 }  // namespace
 
@@ -55,12 +66,14 @@ StreamingDatcReconstructor::StreamingDatcReconstructor(
           std::llround(config_.window_s * config_.output_fs_hz)),
       1);
   h_ = w_ / 2;
-  // Live prefix span is at most 2h + kRunLen + 2 entries
-  // (P[emit - h] .. P[vth_count], with the run headroom).
-  prefix_.assign(w_ + kRunLen + 8, 0.0);
-  prefix_[0] = 0.0;  // P[0]
-  // Until the first event arrives the receiver assumes the reset code (1),
-  // exactly as DatcReconstructor::vth_trajectory.
+  half_fs_ = config_.window_s / 2.0 * config_.output_fs_hz;
+  // The trajectory runs at most h + w samples ahead of the emitter, so
+  // the live prefix span P[emit - h] .. P[vth_count] is at most 2w + 2
+  // entries and one emit block spans up to a window.
+  prefix_.assign(2 * w_ + 4, 0.0);  // P[0] = 0
+  memo_keys_.assign(simd::kRateMemoSlots, simd::kRateMemoEmpty);
+  memo_u_.assign(simd::kRateMemoSlots, 0.0);
+  // Until the first event arrives the receiver assumes the reset code (1).
   held_vth_ = lsb_ * 1.0;
 }
 
@@ -69,24 +82,36 @@ Real StreamingDatcReconstructor::latency_s() const {
 }
 
 std::size_t StreamingDatcReconstructor::buffered_bytes() const {
-  return ev_.size() * sizeof(Event) + prefix_.capacity() * sizeof(Real) +
-         diff_.capacity() * sizeof(Real) + out_buf_.capacity() * sizeof(Real);
+  return ev_.capacity() * sizeof(Event) +
+         (prefix_.capacity() + memo_u_.capacity() + out_buf_.capacity()) *
+             sizeof(Real) +
+         cnt_.capacity() * sizeof(std::int32_t) +
+         memo_keys_.capacity() * sizeof(std::uint64_t);
 }
 
 void StreamingDatcReconstructor::push_events(std::span<const Event> events) {
   dsp::require(!finished_,
                "StreamingDatcReconstructor: push_events after finish");
+  bool sorted = true;
   for (const Event& e : events) {
-    dsp::require(!saw_event_ || e.time_s >= last_time_,
-                 "StreamingDatcReconstructor: events must be time sorted");
+    sorted = sorted && (!saw_event_ || e.time_s >= last_time_);
     saw_event_ = true;
     last_time_ = e.time_s;
-    // datc-lint: allow(hot-alloc) — ev_ is a deque (block-allocating,
-    // amortised O(1) push; pop_front retires the other end, so a vector
-    // reserve() would pin the high-water mark forever).
-    ev_.push_back(e);
-    ++ev_pushed_;
   }
+  dsp::require(sorted,
+               "StreamingDatcReconstructor: events must be time sorted");
+  ev_.insert(ev_.end(), events.begin(), events.end());
+  ev_pushed_ += events.size();
+}
+
+/// Drops the events no cursor can revisit. The dead prefix is erased once
+/// it is as long as the live part, so each event moves O(1) times and at
+/// most twice the live events are held.
+void StreamingDatcReconstructor::retire_events() {
+  const std::size_t dead = std::min(lo_, vth_next_) - ev_base_;
+  if (dead == 0 || 2 * dead < ev_.size()) return;
+  ev_.erase(ev_.begin(), ev_.begin() + static_cast<std::ptrdiff_t>(dead));
+  ev_base_ += dead;
 }
 
 void StreamingDatcReconstructor::advance_to(Real watermark) {
@@ -104,57 +129,65 @@ void StreamingDatcReconstructor::finish(Real duration_s) {
   duration_ = duration_s;
   n_total_ = static_cast<std::size_t>(
       std::llround(duration_s * config_.output_fs_hz));
+  if (n_total_ > emit_n_) {
+    out_buf_.reserve(out_buf_.size() + (n_total_ - emit_n_));
+  }
   watermark_ = std::numeric_limits<Real>::infinity();
   pump();
 }
 
 void StreamingDatcReconstructor::drain(std::vector<Real>& out) {
-  out.insert(out.end(), out_buf_.begin(), out_buf_.end());
+  if (out.empty()) {
+    out.swap(out_buf_);
+  } else {
+    out.insert(out.end(), out_buf_.begin(), out_buf_.end());
+  }
   out_buf_.clear();
 }
 
-/// Extends the vth trajectory by up to kRunLen + h samples past the
-/// emitter. Between event arrivals the held threshold is constant, so the
-/// prefix sums of an event-free stretch append as one tight accumulate
-/// loop (the stretch length comes from an exact binary search against the
-/// next event's timestamp). Value-identical to the old one-sample
-/// extend_vth iterated: each step still computes P[j+1] = P[j] + held.
+/// Least output length the record can still have: llround is monotone
+/// and the watermark never exceeds the duration. A sample whose smoothing
+/// window reaches this far is unclamped whatever the final length is.
+std::size_t StreamingDatcReconstructor::min_total() const {
+  if (finished_) return n_total_;
+  if (!(watermark_ > 0.0)) return 0;
+  return static_cast<std::size_t>(
+      std::llround(watermark_ * config_.output_fs_hz));
+}
+
+/// Extends the vth trajectory up to h + w samples past the emitter.
+/// Between event arrivals the held threshold is constant, so the prefix
+/// sums of an event-free stretch append as one tight accumulate loop
+/// (each step still computes P[j+1] = P[j] + held).
 bool StreamingDatcReconstructor::extend_vth_run() {
-  // Ring bound: never run more than h + kRunLen ahead of the emitter.
-  std::size_t max_count = emit_n_ + h_ + kRunLen + 1;
-  if (finished_ && n_total_ < max_count) max_count = n_total_;
-  if (vth_count_ >= max_count) return false;
   const Real fs = config_.output_fs_hz;
-  if (!finished_) {
+  std::size_t max_count = emit_n_ + h_ + w_ + 1;  // ring bound
+  if (finished_) {
+    max_count = std::min(max_count, n_total_);
+  } else if (vth_count_ < max_count) {
     // Events at t_j are final only once the watermark passes t_j.
-    max_count =
-        vth_count_ + true_prefix(vth_count_, max_count - vth_count_,
-                                 [&](std::size_t j) {
-                                   return static_cast<Real>(j) / fs <
-                                          watermark_;
-                                 });
-    if (max_count <= vth_count_) return false;
+    max_count = first_true(vth_count_, max_count, watermark_ * fs, half_fs_,
+                           [&](std::size_t j) {
+                             return !(static_cast<Real>(j) / fs < watermark_);
+                           });
   }
+  if (vth_count_ >= max_count) return false;
   const std::size_t ring = prefix_.size();
-  const std::size_t begin = vth_count_;
   while (vth_count_ < max_count) {
     const Real t = static_cast<Real>(vth_count_) / fs;
     while (vth_next_ < ev_pushed_ && ev_time(vth_next_) <= t) {
       held_vth_ = lsb_ * static_cast<Real>(ev_[vth_next_ - ev_base_].vth_code);
       ++vth_next_;
     }
-    // Event-free stretch: every j below the next retained event's instant
-    // holds the same threshold (j = vth_count_ itself is always eligible —
-    // its events were just consumed).
+    // Every j below the next retained event's instant holds the same
+    // threshold (j = vth_count_ itself: its events were just consumed).
     std::size_t stop = max_count;
     if (vth_next_ < ev_pushed_) {
       const Real t_next = ev_time(vth_next_);
-      stop = vth_count_ + 1 +
-             true_prefix(vth_count_ + 1, max_count - vth_count_ - 1,
-                         [&](std::size_t j) {
-                           return !(t_next <=
-                                    static_cast<Real>(j) / fs);
-                         });
+      stop = first_true(vth_count_ + 1, max_count, t_next * fs, half_fs_,
+                        [&](std::size_t j) {
+                          return t_next <= static_cast<Real>(j) / fs;
+                        });
     }
     Real p = prefix_at(vth_count_);
     std::size_t idx = (vth_count_ + 1) % ring;
@@ -165,153 +198,147 @@ bool StreamingDatcReconstructor::extend_vth_run() {
     }
     vth_count_ = stop;
   }
-  return vth_count_ > begin;
+  return true;
 }
 
-/// Emits a run of output samples whose rate-window cursors provably do
-/// not move (no event enters or leaves the window across the run) and
-/// whose smoothing windows are unclamped by the record edges. Over such a
-/// run the event rate is constant and the centred moving average reduces
-/// to a window difference of prefix sums — the vector kernel — while the
-/// per-sample scalar tail (w_eff, rate, calibration inverse) keeps the
-/// batch expression order. Any sample not eligible for the fast path
-/// falls back to one scalar emit_ready() step, which also performs the
-/// cursor advancement that ends every run.
+/// Emits every final sample as one block. Interior samples go through
+/// simd::recon_tail; the record edges, whose smoothing window is clamped,
+/// and memo misses take the scalar expression one sample at a time.
 bool StreamingDatcReconstructor::emit_run() {
-  if (emit_n_ < h_) return emit_ready();        // left edge: clamped window
-  if (vth_count_ < h_ + 1) return emit_ready();  // nothing vector-eligible
-  // Availability: emitting j needs the vth trajectory through j + h.
-  std::size_t bound = vth_count_ - h_;
-  if (finished_) {
-    if (n_total_ < h_ + 1) return emit_ready();  // right edge: clamped
-    bound = std::min(bound, n_total_ - h_);
+  // Sample j is final once the trajectory through its last smoothing
+  // sample min(j + h, N - 1) exists; before finish, j + h must also lie
+  // inside any length the record can still have, and the watermark must
+  // pass t_hi(j) (the rate window needs every event below it).
+  const std::size_t total = min_total();
+  std::size_t end = total;
+  if (!finished_ || vth_count_ < n_total_) {
+    const std::size_t ready = std::min(vth_count_, total);
+    end = ready > h_ ? ready - h_ : 0;
   }
-  if (bound <= emit_n_) return emit_ready();
-  std::size_t r = bound - emit_n_;
   const Real fs = config_.output_fs_hz;
   const Real half = config_.window_s / 2.0;
-  if (!finished_) {
-    // The rate window needs every event below t_hi(j) to be final.
-    r = true_prefix(emit_n_, r, [&](std::size_t j) {
-      return watermark_ >= static_cast<Real>(j) / fs + half;
-    });
+  if (!finished_ && emit_n_ < end) {
+    end = first_true(emit_n_, end, (watermark_ - half) * fs, half_fs_,
+                     [&](std::size_t j) {
+                       return !(watermark_ >=
+                                static_cast<Real>(j) / fs + half);
+                     });
   }
-  // Cursor stability: the scalar path advances lo_ while
-  // ev_time(lo_) < t_lo(j) (and hi_ likewise). The cursors stay put for
-  // exactly the samples where the current event is at/after the window
-  // edge; a cursor past the last pushed event cannot move at all.
-  if (lo_ < ev_pushed_) {
-    const Real te = ev_time(lo_);
-    r = true_prefix(emit_n_, r, [&](std::size_t j) {
-      return te >= static_cast<Real>(j) / fs - half;
-    });
-  }
-  if (hi_ < ev_pushed_) {
-    const Real te = ev_time(hi_);
-    r = true_prefix(emit_n_, r, [&](std::size_t j) {
-      return te >= static_cast<Real>(j) / fs + half;
-    });
-  }
-  if (r == 0) return emit_ready();
+  if (end <= emit_n_) return false;
 
-  // Window numerators P[j + h + 1] - P[j - h] for the whole run: both
-  // index sequences are contiguous in the ring, so the subtraction runs
-  // through the vector kernel, split at the (at most two) wrap points.
   const std::size_t n0 = emit_n_;
-  const std::size_t ring = prefix_.size();
-  diff_.resize(r);
+  const std::size_t r = end - n0;
+  window_counts(n0, r);
+  const std::size_t base = out_buf_.size();
+  out_buf_.resize(base + r);
+  Real* out = out_buf_.data() + base;
+  simd::ReconTailArgs args{
+      n0,
+      fs,
+      half,
+      finished_ ? duration_ : std::numeric_limits<Real>::infinity(),
+      static_cast<Real>(2 * h_ + 1),
+      kArvOfSigma,
+      memo_keys_.data(),
+      memo_u_.data()};
+  // The scalar expression for sample n0 + i, smoothing window clamped to
+  // the record (a no-op in the interior).
+  auto scalar_at = [&](std::size_t i) {
+    const std::size_t j = n0 + i;
+    const std::size_t ma_lo = j >= h_ ? j - h_ : 0;
+    const std::size_t ma_hi =
+        finished_ ? std::min(j + h_, n_total_ - 1) : j + h_;
+    simd::ReconTailArgs at = args;
+    at.count = static_cast<Real>(ma_hi - ma_lo + 1);
+    const Real rate =
+        simd::recon_rate_at(at, j, static_cast<Real>(cnt_[i]));
+    return simd::recon_arv(
+        at, prefix_at(ma_hi + 1) - prefix_at(ma_lo), u_of_rate(rate));
+  };
+  const std::size_t interior_end =
+      finished_ ? (n_total_ > h_ ? n_total_ - h_ : 0) : end;
   const auto& kt = simd::kernels();
+  const std::size_t ring = prefix_.size();
   std::size_t off = 0;
-  std::size_t ih = (n0 + h_ + 1) % ring;
-  std::size_t il = (n0 - h_) % ring;
   while (off < r) {
-    const std::size_t len = std::min({r - off, ring - ih, ring - il});
-    kt.window_diff(diff_.data() + off, prefix_.data() + ih,
-                   prefix_.data() + il, len);
-    off += len;
-    ih += len;
-    il += len;
-    if (ih == ring) ih = 0;
-    if (il == ring) il = 0;
+    const std::size_t j = n0 + off;
+    if (j < h_ || j >= interior_end) {
+      out[off] = scalar_at(off);
+      ++fallbacks_;
+      ++off;
+      continue;
+    }
+    // Window sums P[j + h + 1] - P[j - h]: both index runs are contiguous
+    // in the ring up to the next wrap point.
+    const std::size_t ih = (j + h_ + 1) % ring;
+    const std::size_t il = (j - h_) % ring;
+    const std::size_t seg =
+        std::min({std::min(end, interior_end) - j, ring - ih, ring - il});
+    args.j0 = j;
+    const std::size_t done =
+        kt.recon_tail(args, cnt_.data() + off, prefix_.data() + ih,
+                      prefix_.data() + il, out + off, seg);
+    off += done;
+    if (done < seg) {
+      out[off] = scalar_at(off);  // memo miss: fills the memo
+      ++off;
+    }
   }
+  emit_n_ = end;
+  retire_events();
+  return true;
+}
 
-  const Real count = static_cast<Real>(2 * h_ + 1);  // ma_hi - ma_lo + 1
-  const Real rate_n = static_cast<Real>(hi_ - lo_);
-  out_buf_.reserve(out_buf_.size() + r);
+/// Rate-window event counts of samples n0 .. n0 + r - 1 into cnt_, from
+/// one merge of the event times against the window edges: event hi_
+/// enters at the first j with t < t_hi(j), event lo_ leaves at the first
+/// j with t < t_lo(j). Each transition drops a +-1; a running sum gives
+/// the counts and leaves the cursors at sample n0 + r - 1's state.
+void StreamingDatcReconstructor::window_counts(std::size_t n0,
+                                               std::size_t r) {
+  const Real fs = config_.output_fs_hz;
+  const Real half = config_.window_s / 2.0;
+  const std::size_t end = n0 + r;
+  if (cnt_.size() < r) cnt_.resize(r);
+  std::int32_t* d = cnt_.data();
+  std::fill(d, d + r, 0);
+  auto count = static_cast<std::int32_t>(hi_ - lo_);
+  // An event enters no later than it leaves (t_lo(j) <= t_hi(j)), so
+  // every event leaving inside the block was counted in when it entered.
+  for (; hi_ < ev_pushed_; ++hi_) {
+    const Real te = ev_time(hi_);
+    const std::size_t k =
+        first_true(n0, end, (te - half) * fs, half_fs_, [&](std::size_t j) {
+          return te < static_cast<Real>(j) / fs + half;
+        });
+    if (k == end) break;
+    ++d[k - n0];
+  }
+  for (; lo_ < ev_pushed_; ++lo_) {
+    const Real te = ev_time(lo_);
+    const std::size_t k =
+        first_true(n0, end, (te + half) * fs, half_fs_, [&](std::size_t j) {
+          return te < static_cast<Real>(j) / fs - half;
+        });
+    if (k == end) break;
+    --d[k - n0];
+  }
   for (std::size_t i = 0; i < r; ++i) {
-    const Real t = static_cast<Real>(n0 + i) / fs;
-    const Real t_lo = t - half;
-    const Real t_hi = t + half;
-    const Real w_eff =
-        (finished_ ? std::min(t_hi, duration_) : t_hi) - std::max(t_lo, 0.0);
-    const Real rate = rate_n / std::max(w_eff, Real{1e-9});
-    const Real vth_sm = diff_[i] / count;
-    const Real sigma = vth_sm / u_of_rate(rate);
-    out_buf_.push_back(sigma * kArvOfSigma);
+    count += d[i];
+    d[i] = count;
   }
-  emit_n_ = n0 + r;
-
-  // Drop events no cursor can revisit — once per run instead of per
-  // sample (the cursors did not move, so the bound is the same).
-  const std::size_t done = std::min(lo_, vth_next_);
-  while (ev_base_ < done && !ev_.empty()) {
-    ev_.pop_front();
-    ++ev_base_;
-  }
-  return true;
 }
 
-/// Calibration inverse with a one-entry memo. Away from the record edges
-/// the window width is a constant and the rate window cursors move only
-/// between runs, so the rate repeats bitwise for long stretches; reusing
-/// the last (rate, u) pair then returns the identical value without the
-/// binary search (u_for_rate is a pure function of its argument).
+/// Calibration inverse through the memo (u_for_rate is a pure function
+/// of its argument, so a hit returns the identical value).
 Real StreamingDatcReconstructor::u_of_rate(Real rate) {
-  if (rate != u_cache_rate_) {
-    u_cache_rate_ = rate;
-    u_cache_u_ = cal_->u_for_rate(rate);
+  const auto key = std::bit_cast<std::uint64_t>(rate);
+  const std::size_t slot = simd::rate_memo_slot(key);
+  if (memo_keys_[slot] != key) {
+    memo_keys_[slot] = key;
+    memo_u_[slot] = cal_->u_for_rate(rate);
   }
-  return u_cache_u_;
-}
-
-/// Emit output sample emit_n_ if every input it depends on is final.
-bool StreamingDatcReconstructor::emit_ready() {
-  if (finished_ && emit_n_ >= n_total_) return false;
-  const std::size_t n = emit_n_;
-  const Real t = static_cast<Real>(n) / config_.output_fs_hz;
-  const Real t_lo = t - config_.window_s / 2.0;
-  const Real t_hi = t + config_.window_s / 2.0;
-  // The rate window needs every event below t_hi; the smoother needs the
-  // vth trajectory through n + h (clamped to the record end once known).
-  const std::size_t ma_hi =
-      finished_ ? std::min(n + h_, n_total_ - 1) : n + h_;
-  if (!finished_ && !(watermark_ >= t_hi)) return false;
-  if (vth_count_ <= ma_hi) return false;
-
-  while (lo_ < ev_pushed_ && ev_time(lo_) < t_lo) ++lo_;
-  while (hi_ < ev_pushed_ && ev_time(hi_) < t_hi) ++hi_;
-  // Boundary windows are truncated by the record edges (pre-finish the
-  // watermark contract guarantees t_hi <= duration, so min() is a no-op
-  // and the expression equals the batch one).
-  const Real w_eff =
-      (finished_ ? std::min(t_hi, duration_) : t_hi) - std::max(t_lo, 0.0);
-  const Real rate =
-      static_cast<Real>(hi_ - lo_) / std::max(w_eff, Real{1e-9});
-
-  const std::size_t ma_lo = n >= h_ ? n - h_ : 0;
-  const Real vth_sm = (prefix_at(ma_hi + 1) - prefix_at(ma_lo)) /
-                      static_cast<Real>(ma_hi - ma_lo + 1);
-  const Real sigma = vth_sm / u_of_rate(rate);
-  out_buf_.push_back(sigma * kArvOfSigma);
-  ++emit_n_;
-
-  // Drop events no cursor can revisit.
-  const std::size_t done = std::min(lo_, vth_next_);
-  while (ev_base_ < done && !ev_.empty()) {
-    ev_.pop_front();
-    ++ev_base_;
-  }
-  return true;
+  return memo_u_[slot];
 }
 
 void StreamingDatcReconstructor::pump() {

@@ -8,6 +8,8 @@
 // equality under DATC_SIMD forcing. Backend selection lives in
 // simd/dispatch.hpp.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -37,6 +39,61 @@ struct CmpMaskArgs {
   bool rectify;
 };
 
+/// Rate-inversion reconstruction tail (core/streaming_reconstruct.cpp):
+/// lane i is output sample j = j0 + i, whose rate window holds cnt[i]
+/// events (int32: exact in a double lane) and whose smoothing window sum
+/// is p_hi[i] - p_lo[i]. The calibration inverse u_for_rate is read from
+/// a direct-mapped memo keyed by the rate's bit pattern; the kernels only
+/// read it, the caller fills it on a miss.
+struct ReconTailArgs {
+  std::size_t j0;
+  Real fs;        ///< output grid rate
+  Real half;      ///< window_s / 2
+  Real duration;  ///< record duration; +inf while it is still unknown
+  Real count;     ///< smoothing window length (2h + 1 samples)
+  Real scale;     ///< ARV of unit sigma
+  const std::uint64_t* memo_keys;  ///< kRateMemoSlots rate bit patterns
+  const Real* memo_u;              ///< u_for_rate of each key
+};
+
+/// Memo geometry: a channel sees a few hundred distinct rates, a few dozen
+/// at a time (the rate window's count times the handful of w_eff
+/// roundings), so 512 slots keep conflict misses rare. An empty slot
+/// holds kRateMemoEmpty, a NaN payload no division produces.
+inline constexpr unsigned kRateMemoBits = 9;
+inline constexpr std::size_t kRateMemoSlots = std::size_t{1} << kRateMemoBits;
+inline constexpr std::uint64_t kRateMemoEmpty = ~std::uint64_t{0};
+
+/// Multiplicative hash of the folded key; the AVX2 body computes the same
+/// slot with a 32x32 -> 64 lane multiply.
+[[nodiscard]] inline std::size_t rate_memo_slot(std::uint64_t key) {
+  const auto fold = static_cast<std::uint32_t>(key ^ (key >> 32));
+  return static_cast<std::size_t>((fold * 0x9E3779B1u) >>
+                                  (32 - kRateMemoBits));
+}
+
+/// The scalar reference of one recon_tail lane, in two halves around the
+/// memo lookup. Rate of output sample j holding `cnt` events: boundary
+/// windows are truncated by the record edges and normalised by the
+/// overlap.
+[[nodiscard]] inline Real recon_rate_at(const ReconTailArgs& a, std::size_t j,
+                                        Real cnt) {
+  const Real t = static_cast<Real>(j) / a.fs;
+  const Real t_lo = t - a.half;
+  const Real t_hi = t + a.half;
+  const Real w_eff = std::min(t_hi, a.duration) - std::max(t_lo, 0.0);
+  return cnt / std::max(w_eff, Real{1e-9});
+}
+
+/// Smoothed threshold (window sum `diff` over `count` samples) over the
+/// calibration inverse u, in ARV units.
+[[nodiscard]] inline Real recon_arv(const ReconTailArgs& a, Real diff,
+                                    Real u) {
+  const Real vth_sm = diff / a.count;
+  const Real sigma = vth_sm / u;
+  return sigma * a.scale;
+}
+
 struct KernelTable {
   Backend backend;
   const char* name;
@@ -52,9 +109,13 @@ struct KernelTable {
                      Real* z1, std::size_t n);
   /// dst[i] = (c * a[i]) * a[i]  (receiver pulse energy, left-associated).
   void (*square_scale)(Real* dst, const Real* a, Real c, std::size_t n);
-  /// dst[i] = hi[i] - lo[i]  (moving-average window differences).
-  void (*window_diff)(Real* dst, const Real* hi, const Real* lo,
-                      std::size_t n);
+  /// out[i] = ((p_hi[i] - p_lo[i]) / count / u(rate_i)) * scale for the
+  /// leading samples whose rate hits the memo. Returns how many were
+  /// written: a return k < n means sample k missed (out[k..) untouched).
+  std::size_t (*recon_tail)(const ReconTailArgs& args,
+                            const std::int32_t* cnt,
+                            const Real* p_hi, const Real* p_lo, Real* out,
+                            std::size_t n);
 };
 
 namespace detail {
@@ -86,6 +147,29 @@ inline void gauss_tail_one(Real u, Real v, Real s, Real& z0, Real& z1) {
   const Real t = std::sqrt(-2.0 * l / s);
   z0 = u * t;
   z1 = v * t;
+}
+
+/// Memo probe; false on a miss.
+[[nodiscard]] inline bool rate_memo_find(const ReconTailArgs& a, Real rate,
+                                         Real& u) {
+  const auto key = std::bit_cast<std::uint64_t>(rate);
+  const std::size_t slot = rate_memo_slot(key);
+  if (a.memo_keys[slot] != key) return false;
+  u = a.memo_u[slot];
+  return true;
+}
+
+/// Shared recon_tail body for backend remainder loops (and the scalar
+/// reference): false when sample i misses the memo.
+[[nodiscard]] inline bool recon_tail_one(const ReconTailArgs& a,
+                                         const std::int32_t* cnt,
+                                         const Real* p_hi, const Real* p_lo,
+                                         Real* out, std::size_t i) {
+  Real u = 0.0;
+  const Real rate = recon_rate_at(a, a.j0 + i, static_cast<Real>(cnt[i]));
+  if (!rate_memo_find(a, rate, u)) return false;
+  out[i] = recon_arv(a, p_hi[i] - p_lo[i], u);
+  return true;
 }
 
 [[nodiscard]] const KernelTable& scalar_table();

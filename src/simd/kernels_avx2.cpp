@@ -150,15 +150,58 @@ void square_scale_avx2(Real* dst, const Real* a, Real c, std::size_t n) {
   for (; i < n; ++i) dst[i] = c * a[i] * a[i];
 }
 
-void window_diff_avx2(Real* dst, const Real* hi, const Real* lo,
-                      std::size_t n) {
+std::size_t recon_tail_avx2(const ReconTailArgs& args,
+                            const std::int32_t* cnt, const Real* p_hi,
+                            const Real* p_lo, Real* out, std::size_t n) {
+  const __m256d vfs = _mm256_set1_pd(args.fs);
+  const __m256d vhalf = _mm256_set1_pd(args.half);
+  const __m256d vdur = _mm256_set1_pd(args.duration);
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d vfloor = _mm256_set1_pd(1e-9);
+  const __m256d vcount = _mm256_set1_pd(args.count);
+  const __m256d vscale = _mm256_set1_pd(args.scale);
+  const __m256d four = _mm256_set1_pd(4.0);
+  const __m256i vmul = _mm256_set1_epi64x(0x9E3779B1ll);
+  const __m256i vslot =
+      _mm256_set1_epi64x(static_cast<long long>(kRateMemoSlots - 1));
+  const auto* keys = reinterpret_cast<const long long*>(args.memo_keys);
+  const auto jd0 = static_cast<double>(args.j0);
+  __m256d jd = _mm256_setr_pd(jd0, jd0 + 1.0, jd0 + 2.0, jd0 + 3.0);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        dst + i, _mm256_sub_pd(_mm256_loadu_pd(hi + i),
-                               _mm256_loadu_pd(lo + i)));
+    const __m256d t = _mm256_div_pd(jd, vfs);
+    const __m256d t_lo = _mm256_sub_pd(t, vhalf);
+    const __m256d t_hi = _mm256_add_pd(t, vhalf);
+    // min/max with the operands swapped reproduce std::min(a, b) =
+    // (b < a) ? b : a and std::max(a, b) = (a < b) ? b : a exactly,
+    // signed zeros and NaN included.
+    const __m256d w_eff = _mm256_sub_pd(_mm256_min_pd(vdur, t_hi),
+                                        _mm256_max_pd(vzero, t_lo));
+    const __m256d c = _mm256_cvtepi32_pd(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cnt + i)));
+    const __m256d rate = _mm256_div_pd(c, _mm256_max_pd(vfloor, w_eff));
+    const __m256i key = _mm256_castpd_si256(rate);
+    const __m256i fold = _mm256_xor_si256(key, _mm256_srli_epi64(key, 32));
+    const __m256i slot = _mm256_and_si256(
+        _mm256_srli_epi64(_mm256_mul_epu32(fold, vmul), 32 - kRateMemoBits),
+        vslot);
+    const __m256i got = _mm256_i64gather_epi64(keys, slot, 8);
+    if (_mm256_movemask_pd(_mm256_castsi256_pd(
+            _mm256_cmpeq_epi64(got, key))) != 0xF) {
+      break;  // the remainder loop stops at the missing lane
+    }
+    const __m256d u = _mm256_i64gather_pd(args.memo_u, slot, 8);
+    const __m256d vth_sm = _mm256_div_pd(
+        _mm256_sub_pd(_mm256_loadu_pd(p_hi + i), _mm256_loadu_pd(p_lo + i)),
+        vcount);
+    _mm256_storeu_pd(out + i,
+                     _mm256_mul_pd(_mm256_div_pd(vth_sm, u), vscale));
+    jd = _mm256_add_pd(jd, four);
   }
-  for (; i < n; ++i) dst[i] = hi[i] - lo[i];
+  for (; i < n; ++i) {
+    if (!recon_tail_one(args, cnt, p_hi, p_lo, out, i)) return i;
+  }
+  return n;
 }
 
 }  // namespace
@@ -166,7 +209,7 @@ void window_diff_avx2(Real* dst, const Real* hi, const Real* lo,
 const KernelTable& avx2_table() {
   static const KernelTable table{Backend::avx2, "avx2", cmp_masks_avx2,
                                  gauss_tail_avx2, square_scale_avx2,
-                                 window_diff_avx2};
+                                 recon_tail_avx2};
   return table;
 }
 

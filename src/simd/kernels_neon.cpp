@@ -129,13 +129,51 @@ void square_scale_neon(Real* dst, const Real* a, Real c, std::size_t n) {
   for (; i < n; ++i) dst[i] = c * a[i] * a[i];
 }
 
-void window_diff_neon(Real* dst, const Real* hi, const Real* lo,
-                      std::size_t n) {
+/// std::max(a, b) = (a < b) ? b : a, lane for lane (FMAX differs on
+/// signed zeros and NaN).
+[[nodiscard]] float64x2_t std_max(float64x2_t a, float64x2_t b) {
+  return vbslq_f64(vcltq_f64(a, b), b, a);
+}
+
+std::size_t recon_tail_neon(const ReconTailArgs& args,
+                            const std::int32_t* cnt, const Real* p_hi,
+                            const Real* p_lo, Real* out, std::size_t n) {
+  const float64x2_t vfs = vdupq_n_f64(args.fs);
+  const float64x2_t vhalf = vdupq_n_f64(args.half);
+  const float64x2_t vdur = vdupq_n_f64(args.duration);
+  const float64x2_t vzero = vdupq_n_f64(0.0);
+  const float64x2_t vfloor = vdupq_n_f64(1e-9);
+  const float64x2_t vcount = vdupq_n_f64(args.count);
+  const float64x2_t vscale = vdupq_n_f64(args.scale);
+  const float64x2_t two = vdupq_n_f64(2.0);
+  const auto jd0 = static_cast<double>(args.j0);
+  float64x2_t jd = {jd0, jd0 + 1.0};
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vsubq_f64(vld1q_f64(hi + i), vld1q_f64(lo + i)));
+    const float64x2_t t = vdivq_f64(jd, vfs);
+    const float64x2_t t_lo = vsubq_f64(t, vhalf);
+    const float64x2_t t_hi = vaddq_f64(t, vhalf);
+    // std::min(t_hi, dur) = (dur < t_hi) ? dur : t_hi.
+    const float64x2_t lim = vbslq_f64(vcltq_f64(vdur, t_hi), vdur, t_hi);
+    const float64x2_t w_eff = vsubq_f64(lim, std_max(t_lo, vzero));
+    const float64x2_t c = vcvtq_f64_s64(vmovl_s32(vld1_s32(cnt + i)));
+    const float64x2_t rate = vdivq_f64(c, std_max(w_eff, vfloor));
+    Real u0 = 0.0;
+    Real u1 = 0.0;
+    if (!rate_memo_find(args, vgetq_lane_f64(rate, 0), u0) ||
+        !rate_memo_find(args, vgetq_lane_f64(rate, 1), u1)) {
+      break;  // the remainder loop stops at the missing lane
+    }
+    const float64x2_t u = {u0, u1};
+    const float64x2_t vth_sm = vdivq_f64(
+        vsubq_f64(vld1q_f64(p_hi + i), vld1q_f64(p_lo + i)), vcount);
+    vst1q_f64(out + i, vmulq_f64(vdivq_f64(vth_sm, u), vscale));
+    jd = vaddq_f64(jd, two);
   }
-  for (; i < n; ++i) dst[i] = hi[i] - lo[i];
+  for (; i < n; ++i) {
+    if (!recon_tail_one(args, cnt, p_hi, p_lo, out, i)) return i;
+  }
+  return n;
 }
 
 }  // namespace
@@ -143,7 +181,7 @@ void window_diff_neon(Real* dst, const Real* hi, const Real* lo,
 const KernelTable& neon_table() {
   static const KernelTable table{Backend::neon, "neon", cmp_masks_neon,
                                  gauss_tail_neon, square_scale_neon,
-                                 window_diff_neon};
+                                 recon_tail_neon};
   return table;
 }
 

@@ -36,11 +36,13 @@ void square_scale_scalar(Real* dst, const Real* a, Real c, std::size_t n) {
   }
 }
 
-void window_diff_scalar(Real* dst, const Real* hi, const Real* lo,
-                        std::size_t n) {
+std::size_t recon_tail_scalar(const ReconTailArgs& args,
+                              const std::int32_t* cnt, const Real* p_hi,
+                              const Real* p_lo, Real* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = hi[i] - lo[i];
+    if (!recon_tail_one(args, cnt, p_hi, p_lo, out, i)) return i;
   }
+  return n;
 }
 
 }  // namespace
@@ -48,7 +50,7 @@ void window_diff_scalar(Real* dst, const Real* hi, const Real* lo,
 const KernelTable& scalar_table() {
   static const KernelTable table{Backend::scalar, "scalar", cmp_masks_scalar,
                                  gauss_tail_scalar, square_scale_scalar,
-                                 window_diff_scalar};
+                                 recon_tail_scalar};
   return table;
 }
 

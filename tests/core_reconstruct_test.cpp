@@ -231,21 +231,6 @@ TEST(Reconstructors, SilentLeadingSegmentUsesOneSidedFloorDuty) {
   }
 }
 
-TEST(Reconstructors, VthTrajectoryHoldsLastCode) {
-  core::EventStream ev;
-  ev.add(0.1, 4);
-  ev.add(0.3, 9);
-  core::ReconstructionConfig rc;
-  rc.output_fs_hz = 100.0;
-  auto cal = std::make_shared<core::RateCalibration>(fast_cal(2000.0));
-  const core::DatcReconstructor recon(rc, cal);
-  const auto vth = recon.vth_trajectory(ev, 0.5);
-  ASSERT_EQ(vth.size(), 50u);
-  EXPECT_DOUBLE_EQ(vth[0], 1.0 / 16.0);   // reset code before first event
-  EXPECT_DOUBLE_EQ(vth[20], 4.0 / 16.0);  // after t=0.1
-  EXPECT_DOUBLE_EQ(vth[40], 9.0 / 16.0);  // after t=0.3
-}
-
 TEST(Reconstructors, AtcLinearRateIsScaledRate) {
   core::EventStream ev;
   for (int i = 0; i < 100; ++i) ev.add(0.005 + 0.01 * i);

@@ -10,11 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/datc_encoder.hpp"
 #include "core/event_arena.hpp"
+#include "core/reconstruct.hpp"
 #include "core/streaming_reconstruct.hpp"
 #include "dsp/rng.hpp"
 #include "emg/evaluation.hpp"
@@ -90,7 +92,8 @@ bool events_bitwise_equal(const core::EventStream& a,
 struct PipelineOutput {
   core::EventStream tx;
   core::EventStream rx;
-  std::vector<Real> arv;
+  std::vector<Real> arv;        ///< streaming, whole record pushed at once
+  std::vector<Real> arv_batch;  ///< DatcReconstructor::reconstruct
 };
 
 PipelineOutput run_pipeline(const emg::Recording& rec,
@@ -108,6 +111,10 @@ PipelineOutput run_pipeline(const emg::Recording& rec,
   recon.push_events(std::span<const core::Event>(out.rx.events()));
   recon.finish(rec.emg_v.duration_s());
   recon.drain(out.arv);
+  out.arv_batch =
+      core::DatcReconstructor(emg::datc_reconstruction_config(eval),
+                              test_calibration())
+          .reconstruct(out.rx, rec.emg_v.duration_s());
   return out;
 }
 
@@ -217,6 +224,80 @@ TEST_P(SimdBackendMatrixTest, RngFillMatchesPerCallDraws) {
   }
 }
 
+/// recon_tail operands for n lanes from output index j0, with every
+/// lane's rate in the memo except lane `miss` (n: none missing).
+struct ReconTailCase {
+  std::vector<std::int32_t> cnt;
+  std::vector<Real> p_hi, p_lo;
+  std::vector<std::uint64_t> keys;
+  std::vector<Real> memo_u;
+  simd::ReconTailArgs args{};
+
+  ReconTailCase(std::size_t j0, std::size_t n, Real duration,
+                std::size_t miss, dsp::Rng& rng)
+      : cnt(n), p_hi(n), p_lo(n), keys(simd::kRateMemoSlots,
+                                       simd::kRateMemoEmpty),
+        memo_u(simd::kRateMemoSlots, 0.0) {
+    args = simd::ReconTailArgs{j0,    2500.0, 0.125, duration,
+                               625.0, 0.7978845608028654,
+                               keys.data(), memo_u.data()};
+    for (std::size_t i = 0; i < n; ++i) {
+      // Distinct counts give distinct rates, so only lane `miss` misses
+      // (or a lane evicted by a slot collision, on every backend alike).
+      cnt[i] = static_cast<std::int32_t>(4 * i) +
+               static_cast<std::int32_t>(rng.canonical() * 4.0);
+      p_lo[i] = 100.0 * rng.canonical();
+      p_hi[i] = p_lo[i] + 60.0 * rng.canonical();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == miss) continue;
+      const Real rate = simd::recon_rate_at(
+          args, j0 + i, static_cast<Real>(cnt[i]));
+      const auto key = std::bit_cast<std::uint64_t>(rate);
+      keys[simd::rate_memo_slot(key)] = key;
+      memo_u[simd::rate_memo_slot(key)] = 0.3 + rng.canonical();
+    }
+  }
+
+  std::size_t run(const simd::KernelTable& kt, std::vector<Real>& out) const {
+    out.assign(cnt.size(), -1.0);
+    return kt.recon_tail(args, cnt.data(), p_hi.data(), p_lo.data(),
+                         out.data(), cnt.size());
+  }
+};
+
+// Raw recon_tail against the scalar table at every length 0..9 (all the
+// remainder-loop shapes of the 4- and 2-lane bodies), on the left record
+// edge (t_lo < 0), in the interior, past a known duration (t_hi
+// truncated), and with a memo miss in every lane position.
+TEST_P(SimdBackendMatrixTest, ReconTailMatchesScalarAtEveryLength) {
+  const auto& scalar = simd::detail::scalar_table();
+  const auto& kt = simd::table_for(GetParam());
+  dsp::Rng rng(4242);
+  const Real inf = std::numeric_limits<Real>::infinity();
+  for (std::size_t n = 0; n <= 9; ++n) {
+    for (const std::size_t j0 : {std::size_t{0}, std::size_t{300},
+                                 std::size_t{49995}}) {
+      for (std::size_t miss = 0; miss <= n; ++miss) {
+        const ReconTailCase c(j0, n, j0 > 40000 ? 20.0 : inf, miss, rng);
+        std::vector<Real> want;
+        std::vector<Real> got;
+        const std::size_t k_want = c.run(scalar, want);
+        const std::size_t k_got = c.run(kt, got);
+        ASSERT_EQ(k_got, k_want) << kt.name << " n=" << n << " j0=" << j0
+                                 << " miss=" << miss;
+        ASSERT_LE(k_want, miss);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << kt.name << " recon_tail n=" << n << " j0=" << j0
+              << " miss=" << miss << " lane " << i;
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, SimdBackendMatrixTest,
     ::testing::Values(simd::Backend::scalar, simd::Backend::avx2,
@@ -250,10 +331,14 @@ TEST(SimdCrossBackendTest, PipelineBitIdenticalToScalar) {
     EXPECT_TRUE(events_bitwise_equal(got.rx, ref.rx))
         << simd::backend_name(b) << ": decoded stream diverged";
     ASSERT_EQ(got.arv.size(), ref.arv.size());
+    ASSERT_EQ(got.arv_batch.size(), ref.arv.size());
     for (std::size_t i = 0; i < ref.arv.size(); ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(got.arv[i]),
                 std::bit_cast<std::uint64_t>(ref.arv[i]))
           << simd::backend_name(b) << ": ARV sample " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.arv_batch[i]),
+                std::bit_cast<std::uint64_t>(ref.arv[i]))
+          << simd::backend_name(b) << ": batch ARV sample " << i;
     }
   }
 }
@@ -261,7 +346,7 @@ TEST(SimdCrossBackendTest, PipelineBitIdenticalToScalar) {
 // Raw kernel outputs on synthetic operands, vector tables vs scalar.
 TEST(SimdCrossBackendTest, KernelOutputsBitIdenticalToScalar) {
   constexpr std::size_t kN = 259;  // odd tail exercises remainder loops
-  std::vector<Real> u(kN), v(kN), s(kN), a(kN), hi(kN), lo(kN);
+  std::vector<Real> u(kN), v(kN), s(kN), a(kN);
   dsp::Rng rng(99);
   for (std::size_t i = 0; i < kN; ++i) {
     // Polar-tail operands: s in (0, 1), (u, v) inside the unit disc.
@@ -277,25 +362,21 @@ TEST(SimdCrossBackendTest, KernelOutputsBitIdenticalToScalar) {
     v[i] = y;
     s[i] = m;
     a[i] = 4.0 * rng.canonical() - 2.0;
-    hi[i] = 10.0 * rng.canonical();
-    lo[i] = 10.0 * rng.canonical();
   }
 
   const auto& scalar = simd::detail::scalar_table();
-  std::vector<Real> z0_ref(kN), z1_ref(kN), sq_ref(kN), wd_ref(kN);
+  std::vector<Real> z0_ref(kN), z1_ref(kN), sq_ref(kN);
   scalar.gauss_tail(u.data(), v.data(), s.data(), z0_ref.data(),
                     z1_ref.data(), kN);
   scalar.square_scale(sq_ref.data(), a.data(), 0.37, kN);
-  scalar.window_diff(wd_ref.data(), hi.data(), lo.data(), kN);
 
   for (const auto b : {simd::Backend::avx2, simd::Backend::neon}) {
     if (!simd::backend_available(b)) continue;
     const auto& kt = b == simd::Backend::avx2 ? simd::detail::avx2_table()
                                               : simd::detail::neon_table();
-    std::vector<Real> z0(kN), z1(kN), sq(kN), wd(kN);
+    std::vector<Real> z0(kN), z1(kN), sq(kN);
     kt.gauss_tail(u.data(), v.data(), s.data(), z0.data(), z1.data(), kN);
     kt.square_scale(sq.data(), a.data(), 0.37, kN);
-    kt.window_diff(wd.data(), hi.data(), lo.data(), kN);
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(z0[i]),
                 std::bit_cast<std::uint64_t>(z0_ref[i]))
@@ -306,9 +387,6 @@ TEST(SimdCrossBackendTest, KernelOutputsBitIdenticalToScalar) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(sq[i]),
                 std::bit_cast<std::uint64_t>(sq_ref[i]))
           << kt.name << " square_scale[" << i << "]";
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(wd[i]),
-                std::bit_cast<std::uint64_t>(wd_ref[i]))
-          << kt.name << " window_diff[" << i << "]";
     }
   }
 }
