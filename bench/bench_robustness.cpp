@@ -20,7 +20,6 @@
 
 #include "config/factory.hpp"
 #include "dsp/emg_metrics.hpp"
-#include "dsp/stats.hpp"
 #include "emg/generator.hpp"
 #include "runtime/faulty_session.hpp"
 #include "fault/file_io.hpp"
@@ -92,11 +91,7 @@ ChunkFaultPoint run_chunk_fault_point(const char* drop_prob,
   run(arv_b);
   point.deterministic = arv_a == arv_b;
 
-  const auto truth = bench::evaluator().ground_truth(rec);
-  const std::size_t n = std::min(arv_a.size(), truth.size());
-  point.corr_pct = dsp::correlation_percent(
-      std::span<const Real>(arv_a.data(), n),
-      std::span<const Real>(truth.data(), n));
+  point.corr_pct = bench::evaluator().score(rec, {arv_a}).front();
   return point;
 }
 

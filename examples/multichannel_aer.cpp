@@ -8,7 +8,6 @@
 
 #include <cstdio>
 
-#include "dsp/stats.hpp"
 #include "sim/evaluation.hpp"
 #include "sim/table_writer.hpp"
 #include "uwb/aer.hpp"
@@ -57,11 +56,7 @@ int main() {
   for (std::size_t c = 0; c < kChannels; ++c) {
     const auto recon =
         eval.reconstruct_datc(split[c], recs[c].emg_v.duration_s());
-    const auto truth = eval.ground_truth(recs[c]);
-    const std::size_t n = std::min(recon.size(), truth.size());
-    const Real corr = dsp::correlation_percent(
-        std::span<const Real>(truth.data(), n),
-        std::span<const Real>(recon.data(), n));
+    const Real corr = eval.score(recs[c], {recon}).front();
     worst = std::min(worst, corr);
     t.add_row({sim::Table::integer(c),
                sim::Table::num(recs[c].spec.gain_v, 2),

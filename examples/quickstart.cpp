@@ -12,7 +12,7 @@
 #include "core/reconstruct.hpp"
 #include "core/symbols.hpp"
 #include "dsp/envelope.hpp"
-#include "dsp/stats.hpp"
+#include "emg/evaluation.hpp"
 #include "emg/generator.hpp"
 
 using namespace datc;
@@ -48,10 +48,7 @@ int main() {
 
   // 5) Score against the ground-truth ARV envelope.
   const auto truth = dsp::arv_envelope(emg_v.view(), 2500.0, 0.25);
-  const std::size_t n = std::min(truth.size(), estimate.size());
-  const Real corr = dsp::correlation_percent(
-      std::span<const Real>(truth.data(), n),
-      std::span<const Real>(estimate.data(), n));
+  const Real corr = emg::score_against(truth, {estimate}).front();
   std::printf("reconstruction correlation vs ARV envelope: %.2f %%\n", corr);
   std::printf("(the paper reports ~96 %% on its 20 s recordings)\n");
   return corr > 80.0 ? 0 : 1;

@@ -119,6 +119,10 @@ class PipelineRunner {
       std::span<const emg::Recording> recordings, ThreadPool* pool) const;
   [[nodiscard]] BatchReport run_shared(
       std::span<const emg::Recording> recordings, ThreadPool* pool) const;
+  /// Reconstructs rx (and tx when scored) and scores them against one
+  /// ground truth.
+  void score(const emg::Recording& rec, const core::EventStream& tx,
+             const core::EventStream& rx, Real& rx_pct, Real& tx_pct) const;
 };
 
 }  // namespace datc::runtime

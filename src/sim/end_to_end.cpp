@@ -3,8 +3,8 @@
 #include "core/atc_encoder.hpp"
 #include "core/datc_encoder.hpp"
 #include "core/symbols.hpp"
-#include "dsp/stats.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/thread_pool.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
@@ -18,10 +18,7 @@ EndToEnd::EndToEnd(const EvalConfig& eval, const LinkConfig& link)
 
 Real EndToEnd::score(const emg::Recording& rec,
                      const std::vector<Real>& recon) const {
-  const auto truth = eval_.ground_truth(rec);
-  const std::size_t n = std::min(truth.size(), recon.size());
-  return dsp::correlation_percent(std::span<const Real>(truth.data(), n),
-                                  std::span<const Real>(recon.data(), n));
+  return eval_.score(rec, {recon}).front();
 }
 
 EndToEndResult EndToEnd::run_datc(const emg::Recording& rec) const {

@@ -6,9 +6,9 @@
 
 #include "core/datc_encoder.hpp"
 #include "core/symbols.hpp"
-#include "dsp/stats.hpp"
 #include "dsp/types.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "sim/table_writer.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/modulator.hpp"
@@ -164,11 +164,7 @@ LinkSweepResult run_link_sweep(const LinkSweepConfig& config) {
         for (std::size_t c = 0; c < nch; ++c) {
           const auto recon = eval.reconstruct_datc(run.per_channel_rx[c],
                                                    config.duration_s);
-          const auto& truth = truths[c];
-          const std::size_t n = std::min(truth.size(), recon.size());
-          const Real corr = dsp::correlation_percent(
-              std::span<const Real>(truth.data(), n),
-              std::span<const Real>(recon.data(), n));
+          const Real corr = emg::score_against(truths[c], {recon}).front();
           sum += corr;
           worst = std::min(worst, corr);
         }

@@ -41,12 +41,20 @@ struct CmpMaskArgs {
 
 /// Rate-inversion reconstruction tail (core/streaming_reconstruct.cpp):
 /// lane i is output sample j = j0 + i, whose rate window holds cnt[i]
-/// events (int32: exact in a double lane) and whose smoothing window sum
-/// is p_hi[i] - p_lo[i]. The calibration inverse u_for_rate is read from
-/// a direct-mapped memo keyed by the rate's bit pattern; the kernels only
-/// read it, the caller fills it on a miss.
+/// events (int32: exact in a double lane). The kernel also appends the
+/// prefix sums of the held-threshold trajectory that the lanes' smoothing
+/// windows end on: p_hi[i] = p_hi[i - 1] + lsb * code[i] with p_hi[-1] =
+/// p_prev (P[j + h + 1] = P[j + h] + vth[j + h], vth = lsb * DAC code),
+/// one add per lane in lane order, so that add chain runs under the
+/// lanes' divisions instead of in a loop of its own. The window sum is
+/// then p_hi[i] - p_lo[i]; p_lo may read p_hi entries written earlier in
+/// the same call (windows shorter than the call). The calibration inverse
+/// u_for_rate is read from a direct-mapped memo keyed by the rate's bit
+/// pattern; the kernels only read it, the caller fills it on a miss.
 struct ReconTailArgs {
   std::size_t j0;
+  Real p_prev;    ///< prefix sum before lane 0's: P[j0 + h]
+  Real lsb;       ///< threshold DAC step: vth = lsb * code
   Real fs;        ///< output grid rate
   Real half;      ///< window_s / 2
   Real duration;  ///< record duration; +inf while it is still unknown
@@ -109,12 +117,13 @@ struct KernelTable {
                      Real* z1, std::size_t n);
   /// dst[i] = (c * a[i]) * a[i]  (receiver pulse energy, left-associated).
   void (*square_scale)(Real* dst, const Real* a, Real c, std::size_t n);
-  /// out[i] = ((p_hi[i] - p_lo[i]) / count / u(rate_i)) * scale for the
-  /// leading samples whose rate hits the memo. Returns how many were
-  /// written: a return k < n means sample k missed (out[k..) untouched).
+  /// p_hi[i] = p_hi[i - 1] + lsb * code[i], then out[i] = ((p_hi[i] -
+  /// p_lo[i]) / count / u(rate_i)) * scale, for the leading samples whose
+  /// rate hits the memo. Returns how many outputs were written: a return
+  /// k < n means sample k missed (p_hi[0..k] written, out[k..) untouched).
   std::size_t (*recon_tail)(const ReconTailArgs& args,
-                            const std::int32_t* cnt,
-                            const Real* p_hi, const Real* p_lo, Real* out,
+                            const std::int32_t* cnt, const std::uint8_t* code,
+                            Real* p_hi, const Real* p_lo, Real* out,
                             std::size_t n);
 };
 
@@ -159,16 +168,26 @@ inline void gauss_tail_one(Real u, Real v, Real s, Real& z0, Real& z1) {
   return true;
 }
 
+/// Lane i's held threshold, the product the trajectory holds.
+[[nodiscard]] inline Real recon_vth(const ReconTailArgs& a,
+                                    const std::uint8_t* code, std::size_t i) {
+  return a.lsb * static_cast<Real>(code[i]);
+}
+
 /// Shared recon_tail body for backend remainder loops (and the scalar
-/// reference): false when sample i misses the memo.
+/// reference): extends the prefix `p` by lane i's threshold, then false
+/// when sample i misses the memo.
 [[nodiscard]] inline bool recon_tail_one(const ReconTailArgs& a,
                                          const std::int32_t* cnt,
-                                         const Real* p_hi, const Real* p_lo,
-                                         Real* out, std::size_t i) {
+                                         const std::uint8_t* code,
+                                         Real* p_hi, const Real* p_lo,
+                                         Real* out, std::size_t i, Real& p) {
+  p += recon_vth(a, code, i);
+  p_hi[i] = p;
   Real u = 0.0;
   const Real rate = recon_rate_at(a, a.j0 + i, static_cast<Real>(cnt[i]));
   if (!rate_memo_find(a, rate, u)) return false;
-  out[i] = recon_arv(a, p_hi[i] - p_lo[i], u);
+  out[i] = recon_arv(a, p - p_lo[i], u);
   return true;
 }
 

@@ -151,7 +151,8 @@ void square_scale_avx2(Real* dst, const Real* a, Real c, std::size_t n) {
 }
 
 std::size_t recon_tail_avx2(const ReconTailArgs& args,
-                            const std::int32_t* cnt, const Real* p_hi,
+                            const std::int32_t* cnt,
+                            const std::uint8_t* code, Real* p_hi,
                             const Real* p_lo, Real* out, std::size_t n) {
   const __m256d vfs = _mm256_set1_pd(args.fs);
   const __m256d vhalf = _mm256_set1_pd(args.half);
@@ -167,6 +168,7 @@ std::size_t recon_tail_avx2(const ReconTailArgs& args,
   const auto* keys = reinterpret_cast<const long long*>(args.memo_keys);
   const auto jd0 = static_cast<double>(args.j0);
   __m256d jd = _mm256_setr_pd(jd0, jd0 + 1.0, jd0 + 2.0, jd0 + 3.0);
+  Real p = args.p_prev;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d t = _mm256_div_pd(jd, vfs);
@@ -191,15 +193,22 @@ std::size_t recon_tail_avx2(const ReconTailArgs& args,
       break;  // the remainder loop stops at the missing lane
     }
     const __m256d u = _mm256_i64gather_pd(args.memo_u, slot, 8);
-    const __m256d vth_sm = _mm256_div_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(p_hi + i), _mm256_loadu_pd(p_lo + i)),
-        vcount);
+    // The prefix chain in lane order (scalar adds: the order is the bits).
+    const Real q0 = p + recon_vth(args, code, i);
+    const Real q1 = q0 + recon_vth(args, code, i + 1);
+    const Real q2 = q1 + recon_vth(args, code, i + 2);
+    p = q2 + recon_vth(args, code, i + 3);
+    const __m256d hi = _mm256_setr_pd(q0, q1, q2, p);
+    // Store before loading p_lo: a short window reads this block's sums.
+    _mm256_storeu_pd(p_hi + i, hi);
+    const __m256d vth_sm =
+        _mm256_div_pd(_mm256_sub_pd(hi, _mm256_loadu_pd(p_lo + i)), vcount);
     _mm256_storeu_pd(out + i,
                      _mm256_mul_pd(_mm256_div_pd(vth_sm, u), vscale));
     jd = _mm256_add_pd(jd, four);
   }
   for (; i < n; ++i) {
-    if (!recon_tail_one(args, cnt, p_hi, p_lo, out, i)) return i;
+    if (!recon_tail_one(args, cnt, code, p_hi, p_lo, out, i, p)) return i;
   }
   return n;
 }

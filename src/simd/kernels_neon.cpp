@@ -136,7 +136,8 @@ void square_scale_neon(Real* dst, const Real* a, Real c, std::size_t n) {
 }
 
 std::size_t recon_tail_neon(const ReconTailArgs& args,
-                            const std::int32_t* cnt, const Real* p_hi,
+                            const std::int32_t* cnt,
+                            const std::uint8_t* code, Real* p_hi,
                             const Real* p_lo, Real* out, std::size_t n) {
   const float64x2_t vfs = vdupq_n_f64(args.fs);
   const float64x2_t vhalf = vdupq_n_f64(args.half);
@@ -148,6 +149,7 @@ std::size_t recon_tail_neon(const ReconTailArgs& args,
   const float64x2_t two = vdupq_n_f64(2.0);
   const auto jd0 = static_cast<double>(args.j0);
   float64x2_t jd = {jd0, jd0 + 1.0};
+  Real p = args.p_prev;
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
     const float64x2_t t = vdivq_f64(jd, vfs);
@@ -165,13 +167,19 @@ std::size_t recon_tail_neon(const ReconTailArgs& args,
       break;  // the remainder loop stops at the missing lane
     }
     const float64x2_t u = {u0, u1};
-    const float64x2_t vth_sm = vdivq_f64(
-        vsubq_f64(vld1q_f64(p_hi + i), vld1q_f64(p_lo + i)), vcount);
+    // The prefix chain in lane order (scalar adds: the order is the bits).
+    const Real q0 = p + recon_vth(args, code, i);
+    p = q0 + recon_vth(args, code, i + 1);
+    const float64x2_t hi = {q0, p};
+    // Store before loading p_lo: a short window reads this block's sums.
+    vst1q_f64(p_hi + i, hi);
+    const float64x2_t vth_sm =
+        vdivq_f64(vsubq_f64(hi, vld1q_f64(p_lo + i)), vcount);
     vst1q_f64(out + i, vmulq_f64(vdivq_f64(vth_sm, u), vscale));
     jd = vaddq_f64(jd, two);
   }
   for (; i < n; ++i) {
-    if (!recon_tail_one(args, cnt, p_hi, p_lo, out, i)) return i;
+    if (!recon_tail_one(args, cnt, code, p_hi, p_lo, out, i, p)) return i;
   }
   return n;
 }

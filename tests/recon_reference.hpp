@@ -1,6 +1,7 @@
 #pragma once
 // Test-only reference for D-ATC rate inversion: the original batch body,
-// kept verbatim in expression order so the library's one implementation
+// kept verbatim in expression order (its moving average is the original
+// one in score_reference.hpp) so the library's one implementation
 // (StreamingDatcReconstructor, which DatcReconstructor delegates to) is
 // checked against independent code rather than against itself.
 //
@@ -17,7 +18,7 @@
 #include "core/events.hpp"
 #include "core/rate_calibration.hpp"
 #include "core/reconstruct.hpp"
-#include "dsp/moving_average.hpp"
+#include "score_reference.hpp"
 
 namespace datc::oracle {
 
@@ -45,7 +46,7 @@ inline std::vector<dsp::Real> reference_rate_inversion(
     }
     vth[i] = held;
   }
-  vth = dsp::centered_moving_average(vth, std::max<std::size_t>(w, 1));
+  vth = reference_centered_moving_average(vth, std::max<std::size_t>(w, 1));
 
   constexpr Real kArvOfSigma = 0.7978845608028654;  // sqrt(2/pi)
   std::vector<Real> arv(n);

@@ -6,12 +6,14 @@
 // end-state. Backends the host cannot run are skipped (not passed): the
 // CI matrix shows which lanes actually executed.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/datc_encoder.hpp"
@@ -225,29 +227,36 @@ TEST_P(SimdBackendMatrixTest, RngFillMatchesPerCallDraws) {
 }
 
 /// recon_tail operands for n lanes from output index j0, with every
-/// lane's rate in the memo except lane `miss` (n: none missing).
+/// lane's rate in the memo except lane `miss` (n: none missing), and a
+/// held DAC code that changes at lane `change`.
 struct ReconTailCase {
   std::vector<std::int32_t> cnt;
-  std::vector<Real> p_hi, p_lo;
+  std::vector<std::uint8_t> code;
+  std::vector<Real> p_lo;
   std::vector<std::uint64_t> keys;
   std::vector<Real> memo_u;
   simd::ReconTailArgs args{};
 
   ReconTailCase(std::size_t j0, std::size_t n, Real duration,
-                std::size_t miss, dsp::Rng& rng)
-      : cnt(n), p_hi(n), p_lo(n), keys(simd::kRateMemoSlots,
+                std::size_t miss, std::size_t change, dsp::Rng& rng)
+      : cnt(n), code(n), p_lo(n), keys(simd::kRateMemoSlots,
                                        simd::kRateMemoEmpty),
         memo_u(simd::kRateMemoSlots, 0.0) {
-    args = simd::ReconTailArgs{j0,    2500.0, 0.125, duration,
-                               625.0, 0.7978845608028654,
+    // An LSB that is not a power of two, so the products round.
+    args = simd::ReconTailArgs{j0,       100.0 * rng.canonical(),
+                               1.2 / 16.0, 2500.0,
+                               0.125,    duration,
+                               625.0,    0.7978845608028654,
                                keys.data(), memo_u.data()};
+    const auto before = static_cast<std::uint8_t>(1 + rng.canonical() * 15);
+    const auto after = static_cast<std::uint8_t>(1 + rng.canonical() * 15);
     for (std::size_t i = 0; i < n; ++i) {
       // Distinct counts give distinct rates, so only lane `miss` misses
       // (or a lane evicted by a slot collision, on every backend alike).
       cnt[i] = static_cast<std::int32_t>(4 * i) +
                static_cast<std::int32_t>(rng.canonical() * 4.0);
-      p_lo[i] = 100.0 * rng.canonical();
-      p_hi[i] = p_lo[i] + 60.0 * rng.canonical();
+      code[i] = i < change ? before : after;
+      p_lo[i] = 60.0 * rng.canonical();
     }
     for (std::size_t i = 0; i < n; ++i) {
       if (i == miss) continue;
@@ -259,17 +268,32 @@ struct ReconTailCase {
     }
   }
 
-  std::size_t run(const simd::KernelTable& kt, std::vector<Real>& out) const {
+  std::size_t run(const simd::KernelTable& kt, std::vector<Real>& out,
+                  std::vector<Real>& p_hi) const {
     out.assign(cnt.size(), -1.0);
-    return kt.recon_tail(args, cnt.data(), p_hi.data(), p_lo.data(),
-                         out.data(), cnt.size());
+    p_hi.assign(cnt.size(), -1.0);
+    return kt.recon_tail(args, cnt.data(), code.data(), p_hi.data(),
+                         p_lo.data(), out.data(), cnt.size());
   }
 };
+
+void expect_bitwise(const std::vector<Real>& got,
+                    const std::vector<Real>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " lane " << i;
+  }
+}
 
 // Raw recon_tail against the scalar table at every length 0..9 (all the
 // remainder-loop shapes of the 4- and 2-lane bodies), on the left record
 // edge (t_lo < 0), in the interior, past a known duration (t_hi
-// truncated), and with a memo miss in every lane position.
+// truncated), with a memo miss in every lane position and the held
+// threshold changing at the first, middle and last lane. The appended
+// prefix sums must match too, including which lanes a miss leaves
+// unwritten.
 TEST_P(SimdBackendMatrixTest, ReconTailMatchesScalarAtEveryLength) {
   const auto& scalar = simd::detail::scalar_table();
   const auto& kt = simd::table_for(GetParam());
@@ -279,21 +303,128 @@ TEST_P(SimdBackendMatrixTest, ReconTailMatchesScalarAtEveryLength) {
     for (const std::size_t j0 : {std::size_t{0}, std::size_t{300},
                                  std::size_t{49995}}) {
       for (std::size_t miss = 0; miss <= n; ++miss) {
-        const ReconTailCase c(j0, n, j0 > 40000 ? 20.0 : inf, miss, rng);
-        std::vector<Real> want;
-        std::vector<Real> got;
-        const std::size_t k_want = c.run(scalar, want);
-        const std::size_t k_got = c.run(kt, got);
-        ASSERT_EQ(k_got, k_want) << kt.name << " n=" << n << " j0=" << j0
-                                 << " miss=" << miss;
-        ASSERT_LE(k_want, miss);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
-                    std::bit_cast<std::uint64_t>(want[i]))
-              << kt.name << " recon_tail n=" << n << " j0=" << j0
-              << " miss=" << miss << " lane " << i;
+        for (const std::size_t change :
+             {std::size_t{0}, n / 2, n > 0 ? n - 1 : 0}) {
+          const ReconTailCase c(j0, n, j0 > 40000 ? 20.0 : inf, miss, change,
+                                rng);
+          std::vector<Real> want, want_p, got, got_p;
+          const std::size_t k_want = c.run(scalar, want, want_p);
+          const std::size_t k_got = c.run(kt, got, got_p);
+          const std::string what = std::string(kt.name) +
+                                   " n=" + std::to_string(n) +
+                                   " j0=" + std::to_string(j0) +
+                                   " miss=" + std::to_string(miss) +
+                                   " change=" + std::to_string(change);
+          ASSERT_EQ(k_got, k_want) << what;
+          ASSERT_LE(k_want, miss);
+          expect_bitwise(got, want, what + " out");
+          expect_bitwise(got_p, want_p, what + " p_hi");
+          for (std::size_t i = 0; i < n; ++i) {
+            // Exactly p_hi[0..k] is appended, k = the missing lane.
+            ASSERT_EQ(got_p[i] != -1.0, i <= k_want) << what << " lane " << i;
+          }
         }
       }
+    }
+  }
+}
+
+// recon_tail driven the way the emitter drives it: the prefix and step
+// rings share slots, each call runs to the next ring wrap of either
+// operand, and p_prev is read back from the ring. The block spans several
+// wraps; with h = 0 and 1, p_lo reads sums the same call just appended.
+// Every backend must reproduce the prefix sums and outputs of the plain
+// linear computation.
+TEST_P(SimdBackendMatrixTest, ReconTailFoldsPrefixAcrossRingWrap) {
+  const auto& kt = simd::table_for(GetParam());
+  dsp::Rng rng(777);
+  for (const std::size_t h : {std::size_t{0}, std::size_t{1},
+                              std::size_t{3}}) {
+    const std::size_t w = 2 * h + 1;
+    const std::size_t ring = 2 * w + 4;
+    const std::size_t j_start = h + 5;
+    const std::size_t n = 3 * ring + 2;
+    const std::size_t last = j_start + n + h;  // samples 0 .. last - 1
+    std::vector<std::uint64_t> keys(simd::kRateMemoSlots,
+                                    simd::kRateMemoEmpty);
+    std::vector<Real> memo_u(simd::kRateMemoSlots, 0.0);
+    simd::ReconTailArgs args{0,   0.0, 1.2 / 16.0, 2500.0, 0.125,
+                             std::numeric_limits<Real>::infinity(),
+                             static_cast<Real>(w), 0.7978845608028654,
+                             keys.data(), memo_u.data()};
+    // Held codes in runs of a few samples; the linear prefix of lsb * code.
+    std::vector<std::uint8_t> vth(last);
+    std::uint8_t held = 1;
+    for (std::size_t k = 0; k < last; ++k) {
+      if (rng.canonical() < 0.3) {
+        held = static_cast<std::uint8_t>(1 + rng.canonical() * 15);
+      }
+      vth[k] = held;
+    }
+    std::vector<Real> prefix(last + 1, 0.0);
+    for (std::size_t k = 0; k < last; ++k) {
+      prefix[k + 1] = prefix[k] + args.lsb * static_cast<Real>(vth[k]);
+    }
+    // Counts from a small set; u depends on the count only, and a memo
+    // miss (a slot collision) is resolved the way the emitter does it.
+    std::vector<std::int32_t> cnt(n);
+    std::vector<Real> want(n);
+    const auto u_of = [&](std::size_t i) {
+      return 0.3 + static_cast<Real>(cnt[i]) / 7.0;
+    };
+    const auto remember = [&](std::size_t i) {
+      const auto key = std::bit_cast<std::uint64_t>(
+          simd::recon_rate_at(args, j_start + i, cnt[i]));
+      keys[simd::rate_memo_slot(key)] = key;
+      memo_u[simd::rate_memo_slot(key)] = u_of(i);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = j_start + i;
+      cnt[i] = static_cast<std::int32_t>(rng.canonical() * 5.0);
+      remember(i);
+      want[i] =
+          simd::recon_arv(args, prefix[j + h + 1] - prefix[j - h], u_of(i));
+    }
+    // Ring state at the block start: P[j_start - h .. j_start + h]. The
+    // codes a call sums are written just before it (the trajectory runs
+    // less than a ring ahead of the emitter).
+    std::vector<Real> p_ring(ring, -1.0);
+    std::vector<std::uint8_t> c_ring(ring, 0);
+    for (std::size_t k = j_start - h; k <= j_start + h; ++k) {
+      p_ring[k % ring] = prefix[k];
+    }
+    std::vector<Real> got(n, -1.0);
+    std::size_t calls = 0;
+    for (std::size_t j = j_start; j < j_start + n;) {
+      const std::size_t ih = (j + h + 1) % ring;
+      const std::size_t il = (j - h) % ring;
+      const std::size_t seg =
+          std::min({j_start + n - j, ring - ih, ring - il});
+      for (std::size_t i = 0; i < seg; ++i) c_ring[ih + i] = vth[j + h + i];
+      args.j0 = j;
+      args.p_prev = p_ring[(j + h) % ring];
+      const std::size_t done = kt.recon_tail(
+          args, cnt.data() + (j - j_start), c_ring.data() + ih,
+          p_ring.data() + ih, p_ring.data() + il, got.data() + (j - j_start),
+          seg);
+      j += done;
+      ++calls;
+      if (done < seg) {  // the kernel appended the missing sample's P
+        const std::size_t i = j - j_start;
+        remember(i);
+        got[i] = simd::recon_arv(
+            args, p_ring[(j + h + 1) % ring] - p_ring[(j - h) % ring],
+            u_of(i));
+        ++j;
+      }
+    }
+    EXPECT_GT(calls, 3u);
+    expect_bitwise(got, want, std::string(kt.name) + " h=" +
+                                  std::to_string(h) + " out");
+    for (std::size_t k = last + 1 - ring; k <= last; ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(p_ring[k % ring]),
+                std::bit_cast<std::uint64_t>(prefix[k]))
+          << kt.name << " h=" << h << " P[" << k << "]";
     }
   }
 }

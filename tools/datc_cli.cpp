@@ -28,8 +28,8 @@
 #include "core/event_io.hpp"
 #include "core/reconstruct.hpp"
 #include "dsp/envelope.hpp"
-#include "dsp/stats.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "runtime/pipeline_runner.hpp"
@@ -346,11 +346,8 @@ int cmd_reconstruct(const Args& a) {
     const auto sig = read_signal_csv(truth_path);
     const auto truth = dsp::arv_envelope(sig.view(), sig.sample_rate_hz(),
                                          0.25);
-    const std::size_t n = std::min(truth.size(), est.size());
     std::printf("correlation vs %s: %.2f %%\n", truth_path.c_str(),
-                dsp::correlation_percent(
-                    std::span<const Real>(truth.data(), n),
-                    std::span<const Real>(est.data(), n)));
+                emg::score_against(truth, {est}).front());
   }
   return 0;
 }
