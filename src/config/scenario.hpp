@@ -27,7 +27,7 @@ using dsp::Real;
 /// Which synthesiser produces the sEMG for each channel.
 enum class SourceModel {
   kMotorUnitPool,  ///< physiological Fuglevand pool (dataset default)
-  kFilteredNoise,  ///< AM band-limited noise (~20x faster; big sweeps)
+  kFilteredNoise,  ///< AM band-limited noise (big sweeps)
   kFatigued,       ///< motor-unit pool with progressive conduction slowing
 };
 

@@ -8,7 +8,11 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace datc::core {
 namespace {
@@ -20,12 +24,17 @@ constexpr char kMagicV1[8] = {'D', 'A', 'T', 'C', 'E', 'V', 'T', '1'};
 constexpr char kMagicV2[8] = {'D', 'A', 'T', 'C', 'E', 'V', 'T', '2'};
 constexpr char kCrcTag[4] = {'C', 'R', 'C', '2'};
 
-/// Reads exactly `n` bytes or throws a truncation error naming `what`.
+/// Reads exactly `n` bytes or throws a truncation error naming `what`,
+/// followed by `index` when one is given ("event 6"). The message is
+/// composed only on failure: this runs once per field of every record.
 void read_exact(std::istream& is, void* out, std::size_t n,
-                const std::string& what) {
+                std::string_view what,
+                std::optional<std::uint64_t> index = std::nullopt) {
   is.read(static_cast<char*>(out), static_cast<std::streamsize>(n));
   if (static_cast<std::size_t>(is.gcount()) != n || is.bad()) {
-    throw std::invalid_argument("read_events_binary: truncated " + what +
+    std::string name(what);
+    if (index) name += " " + std::to_string(*index);
+    throw std::invalid_argument("read_events_binary: truncated " + name +
                                 " (short read: " +
                                 std::to_string(is.gcount()) + " of " +
                                 std::to_string(n) + " bytes)");
@@ -83,20 +92,29 @@ EventStream read_events_csv(std::istream& is) {
     std::string cell;
     std::array<std::string, 3> cells;
     std::size_t count = 0;
+    // Messages are composed only on failure: these checks run per line.
     while (std::getline(row, cell, ',')) {
-      dsp::require(count < 3, "read_events_csv: too many columns at line " +
-                                  std::to_string(lineno));
+      if (count >= 3) {
+        throw std::invalid_argument(
+            "read_events_csv: too many columns at line " +
+            std::to_string(lineno));
+      }
       cells[count++] = cell;
     }
-    dsp::require(count == 3, "read_events_csv: expected 3 columns at line " +
-                                 std::to_string(lineno));
+    if (count != 3) {
+      throw std::invalid_argument(
+          "read_events_csv: expected 3 columns at line " +
+          std::to_string(lineno));
+    }
     try {
       const Real t = std::stod(cells[0]);
       const unsigned long code = std::stoul(cells[1]);
       const unsigned long chan = std::stoul(cells[2]);
-      dsp::require(code <= 255 && chan <= 65535,
-                   "read_events_csv: field out of range at line " +
-                       std::to_string(lineno));
+      if (code > 255 || chan > 65535) {
+        throw std::invalid_argument(
+            "read_events_csv: field out of range at line " +
+            std::to_string(lineno));
+      }
       out.add(t, static_cast<std::uint8_t>(code),
               static_cast<std::uint16_t>(chan));
     } catch (const std::logic_error&) {
@@ -160,13 +178,13 @@ EventStream read_events_binary(std::istream& is) {
       Real t = 0.0;
       std::uint8_t code = 0;
       std::uint8_t chan = 0;
-      read_exact(is, &t, sizeof(t), "event " + std::to_string(i));
-      read_exact(is, &code, 1, "event " + std::to_string(i));
-      read_exact(is, &chan, 1, "event " + std::to_string(i));
+      read_exact(is, &t, sizeof(t), "event", i);
+      read_exact(is, &code, 1, "event", i);
+      read_exact(is, &chan, 1, "event", i);
       out.add(t, code, chan);
     } else {
       unsigned char record[kEventRecordBytes];
-      read_exact(is, record, sizeof(record), "event " + std::to_string(i));
+      read_exact(is, record, sizeof(record), "event", i);
       crc.update(record, sizeof(record));
       const Event e = decode_event_record(record);
       out.add(e.time_s, e.vth_code, e.channel);
@@ -202,10 +220,11 @@ EventStream read_events_binary(const std::string& path) {
 
 void write_events_binary_v1(std::ostream& os, const EventStream& events) {
   for (const auto& e : events.events()) {
-    dsp::require(e.channel <= 255,
-                 "write_events_binary_v1: channel " +
-                     std::to_string(e.channel) +
-                     " does not fit the v1 u8 address field (write v2)");
+    if (e.channel > 255) {
+      throw std::invalid_argument(
+          "write_events_binary_v1: channel " + std::to_string(e.channel) +
+          " does not fit the v1 u8 address field (write v2)");
+    }
   }
   os.write(kMagicV1, sizeof(kMagicV1));
   const std::uint64_t count = events.size();

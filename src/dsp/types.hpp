@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace datc::dsp {
@@ -68,10 +69,14 @@ class TimeSeries {
   Real sample_rate_hz_{1.0};
 };
 
-/// Throws std::invalid_argument with a composed message when `ok` is false.
-/// Used to validate public-API preconditions.
-inline void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument(what);
+/// Throws std::invalid_argument carrying `what` when `ok` is false.
+/// Used to validate public-API preconditions. The message string is
+/// built only on failure, so a passing check with a literal message
+/// allocates nothing. A composed message ("..." + std::to_string(i))
+/// still converts, but the caller builds it before every check; on hot
+/// paths write `if (!ok) throw ...` instead.
+inline void require(bool ok, std::string_view what) {
+  if (!ok) [[unlikely]] throw std::invalid_argument(std::string(what));
 }
 
 }  // namespace datc::dsp

@@ -25,7 +25,7 @@ struct MotorUnitPoolConfig {
   Real amplitude_range{30.0};     ///< largest/smallest MUAP amplitude
   Real min_rate_hz{8.0};          ///< firing rate at recruitment
   Real peak_rate_hz{35.0};        ///< saturation firing rate
-  Real rate_gain_hz{40.0};        ///< Hz of rate per unit of excitation
+  Real rate_gain_hz{40.0};        ///< Hz of rate per unit of excitation (>= 0)
   Real isi_cv{0.2};               ///< ISI coefficient of variation
   Real muap_sigma_s{0.6e-3};      ///< MUAP half-width of the smallest unit
   Real muap_sigma_spread{1.4};    ///< duration ratio largest/smallest unit
@@ -48,12 +48,20 @@ class MotorUnitPool {
  public:
   MotorUnitPool(const MotorUnitPoolConfig& config, dsp::Rng rng);
 
-  /// Synthesises sEMG driven by `drive` (values in [0, 1]).
-  /// Output sample rate equals the drive's.
+  /// Synthesises sEMG driven by `drive` (values clamped to [0, 1]; every
+  /// sample must be finite). Output sample rate equals the drive's.
+  ///
+  /// Recruited units wait in a due-time queue, so the cost scales with
+  /// samples + spikes rather than samples x units; the random draws
+  /// happen in the order of a per-sample scan over the units by index.
   [[nodiscard]] dsp::TimeSeries synthesize(const ForceProfile& drive);
 
   [[nodiscard]] const std::vector<MotorUnit>& units() const { return units_; }
   [[nodiscard]] const MotorUnitPoolConfig& config() const { return config_; }
+
+  /// Output scale applied before the measurement noise: 1 / ARV of a
+  /// sustained 100 % MVC contraction (Campbell calibration).
+  [[nodiscard]] Real arv_norm() const { return arv_norm_; }
 
   /// Instantaneous firing rate of unit `u` at excitation `e` (Hz; 0 when
   /// not recruited). Exposed for tests of the recruitment model.

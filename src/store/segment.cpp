@@ -8,6 +8,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <istream>
+#include <stdexcept>
+#include <string>
 
 namespace datc::store {
 namespace {
@@ -95,6 +98,17 @@ std::uint64_t scan_valid_prefix(std::istream& is, std::uint64_t max_records,
   out.count = valid;
   out.payload_crc32 = crc.value();
   return valid;
+}
+
+/// Reads one record or throws naming `path`. Runs per record, so the
+/// message is composed only on a short read.
+void read_record_bytes(std::istream& is,
+                       unsigned char (&record)[core::kEventRecordBytes],
+                       const std::string& path) {
+  is.read(reinterpret_cast<char*>(record), sizeof(record));
+  if (static_cast<std::size_t>(is.gcount()) != sizeof(record)) {
+    throw std::invalid_argument("SegmentReader: short read in " + path);
+  }
 }
 
 }  // namespace
@@ -202,9 +216,7 @@ Event SegmentReader::read_record(std::uint64_t index) {
   file_.seekg(static_cast<std::streamoff>(
       kSegmentHeaderBytes + index * core::kEventRecordBytes));
   unsigned char record[core::kEventRecordBytes];
-  file_.read(reinterpret_cast<char*>(record), sizeof(record));
-  dsp::require(static_cast<std::size_t>(file_.gcount()) == sizeof(record),
-               "SegmentReader: short read in " + path_);
+  read_record_bytes(file_, record, path_);
   return core::decode_event_record(record);
 }
 
@@ -236,9 +248,7 @@ void SegmentReader::query(Real t_lo, Real t_hi,
       kSegmentHeaderBytes + first * core::kEventRecordBytes));
   unsigned char record[core::kEventRecordBytes];
   for (std::uint64_t i = first; i < header_.count; ++i) {
-    file_.read(reinterpret_cast<char*>(record), sizeof(record));
-    dsp::require(static_cast<std::size_t>(file_.gcount()) == sizeof(record),
-                 "SegmentReader: short read in " + path_);
+    read_record_bytes(file_, record, path_);
     const Event e = core::decode_event_record(record);
     if (!(e.time_s < t_hi)) break;
     if (!channel || e.channel == *channel) {
@@ -255,9 +265,7 @@ EventStream SegmentReader::read_all() {
   core::Crc32 crc;
   unsigned char record[core::kEventRecordBytes];
   for (std::uint64_t i = 0; i < header_.count; ++i) {
-    file_.read(reinterpret_cast<char*>(record), sizeof(record));
-    dsp::require(static_cast<std::size_t>(file_.gcount()) == sizeof(record),
-                 "SegmentReader: short read in " + path_);
+    read_record_bytes(file_, record, path_);
     crc.update(record, sizeof(record));
     const Event e = core::decode_event_record(record);
     out.add(e.time_s, e.vth_code, e.channel);

@@ -5,6 +5,7 @@
 #include "emg/motor_unit.hpp"
 
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "dsp/envelope.hpp"
 #include "dsp/stats.hpp"
@@ -128,6 +129,22 @@ TEST(MotorUnitPool, ConfigValidation) {
   bad.min_rate_hz = 10.0;
   bad.peak_rate_hz = 5.0;
   EXPECT_THROW(emg::MotorUnitPool(bad, dsp::Rng(1)), std::invalid_argument);
+  // A negative gain would silence units above their threshold.
+  bad = emg::MotorUnitPoolConfig{};
+  bad.rate_gain_hz = -1.0;
+  EXPECT_THROW(emg::MotorUnitPool(bad, dsp::Rng(1)), std::invalid_argument);
+  bad.rate_gain_hz = std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_THROW(emg::MotorUnitPool(bad, dsp::Rng(1)), std::invalid_argument);
+
+  // A non-finite drive sample is rejected, not turned into NaN spike times.
+  auto pool = make_pool();
+  for (const Real v : {std::numeric_limits<Real>::quiet_NaN(),
+                       std::numeric_limits<Real>::infinity(),
+                       -std::numeric_limits<Real>::infinity()}) {
+    auto drive = emg::constant_force(0.5, 0.1, 2500.0);
+    drive.fraction_mvc[100] = v;
+    EXPECT_THROW((void)pool.synthesize(drive), std::invalid_argument) << v;
+  }
 }
 
 TEST(FilteredNoiseModel, ArvTracksDrive) {
