@@ -32,9 +32,9 @@ void print_dac_ablation() {
                 "symbols (showcase)", "cells", "area um^2",
                 "power nW (a=0.5)"});
   for (const unsigned bits : {2u, 3u, 4u, 5u, 6u, 8u}) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.dtc.dac_bits = bits;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
 
     Real sum = 0.0;
     Real mn = 100.0;

@@ -61,9 +61,9 @@ void print_frames_ablation() {
   sim::Table t({"frame (cycles)", "frame (ms)", "corr %", "events",
                 "step-response lag (ms)"});
   for (const auto frame : core::kAllFrameSizes) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.dtc.frame = frame;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
     const auto d = eval.datc(rec);
     const Real lag = adaptation_lag_s(frame);
     t.add_row({sim::Table::integer(core::frame_cycles(frame)),

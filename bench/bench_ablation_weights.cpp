@@ -35,9 +35,9 @@ void print_weights_ablation() {
 
   sim::Table t({"weights", "mean corr %", "min corr %", "mean events"});
   for (const auto& wc : cases) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.dtc.weights.w = wc.w;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
     Real sum = 0.0;
     Real mn = 100.0;
     Real ev_sum = 0.0;
@@ -58,9 +58,9 @@ void print_weights_ablation() {
   sim::Table t2({"update order", "corr %", "events"});
   for (const auto order : {core::PredictorUpdateOrder::kCountFirst,
                            core::PredictorUpdateOrder::kListingLiteral}) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.dtc.order = order;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
     const auto d = eval.datc(rec);
     t2.add_row({order == core::PredictorUpdateOrder::kCountFirst
                     ? "count-first (Fig. 4 dataflow)"
@@ -74,9 +74,9 @@ void print_weights_ablation() {
   sim::Table t3({"RX decode mode", "corr % (showcase)"});
   for (const auto mode : {core::DatcDecodeMode::kRateInversion,
                           core::DatcDecodeMode::kCodeDuty}) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.datc_mode = mode;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
     const auto d = eval.datc(rec);
     t3.add_row({mode == core::DatcDecodeMode::kRateInversion
                     ? "rate inversion (default)"

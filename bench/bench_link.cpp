@@ -56,8 +56,8 @@ void bench_shared_link_8ch(benchmark::State& state) {
   cfg.duration_s = 2.0;
   cfg.distances_m = {0.3};
   cfg.channel_counts = {8};
-  sim::EvalConfig eval;
-  const auto enc = sim::datc_encoder_config(eval);
+  emg::EvalConfig eval;
+  const auto enc = emg::datc_encoder_config(eval);
   std::vector<core::EventStream> tx;
   for (std::size_t c = 0; c < cfg.channels; ++c) {
     emg::RecordingSpec spec;
@@ -68,11 +68,11 @@ void bench_shared_link_8ch(benchmark::State& state) {
     tx.push_back(
         core::encode_datc_events(emg::make_recording(spec).emg_v, enc));
   }
-  sim::LinkConfig link = cfg.link;
+  uwb::LinkConfig link = cfg.link;
   link.channel.distance_m = 0.3;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sim::run_aer_over_link(tx, link, cfg.shared, eval.dtc.dac_bits)
+        uwb::run_aer_over_link(tx, link, cfg.shared, eval.dtc.dac_bits)
             .merged_rx.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -19,12 +19,13 @@
 #include <fstream>
 
 #include "config/factory.hpp"
+#include "core/atc_encoder.hpp"
 #include "dsp/emg_metrics.hpp"
 #include "emg/generator.hpp"
 #include "runtime/faulty_session.hpp"
 #include "fault/file_io.hpp"
-#include "sim/end_to_end.hpp"
 #include "store/recorder.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace {
 
@@ -39,6 +40,20 @@ config::ScenarioSpec strong_link_spec() {
   config::set_scenario_key(spec, "link.pulse_amplitude_v", "0.5");
   config::set_scenario_key(spec, "link.distance_m", "0.3");
   return spec;
+}
+
+/// Fixed-threshold ATC over the runner's link: marker-only packets,
+/// reconstructed and scored with the runner's evaluator.
+Real atc_over_link_pct(const runtime::PipelineRunner& runner,
+                       const emg::Recording& rec, Real threshold_v) {
+  core::AtcEncoderConfig enc;
+  enc.threshold_v = threshold_v;
+  const auto run = uwb::run_atc_over_link(
+      core::encode_atc(rec.emg_v, enc).events, runner.config().link);
+  const auto& eval = runner.evaluator();
+  const auto recon = eval.reconstruct_atc(run.events_rx, threshold_v,
+                                          rec.emg_v.duration_s());
+  return eval.score(rec, {recon}).front();
 }
 
 /// One point of the chunk-fault degradation curve: stream a recording
@@ -161,17 +176,16 @@ void print_robustness() {
     auto spec = strong_link_spec();
     config::set_scenario_key(spec, "link.erasure_prob", p);
     const config::PipelineFactory factory(spec);
-    const auto e2e = factory.make_end_to_end();
-    const auto d = e2e.run_datc(rec);
-    const auto a = e2e.run_atc(rec, 0.3);
-    erasure.push_back({factory.spec().link.erasure_prob,
-                       d.tx_side.num_events, d.events_rx,
-                       d.rx_side.correlation_pct});
+    const auto runner = factory.make_runner();
+    const auto d = runner->run_channel(rec, 0);
+    const Real a = atc_over_link_pct(*runner, rec, 0.3);
+    erasure.push_back({factory.spec().link.erasure_prob, d.events_tx,
+                       d.events_rx, d.rx_correlation_pct});
     t1.add_row({p,
                 sim::Table::integer(d.events_rx) + "/" +
-                    sim::Table::integer(d.tx_side.num_events),
-                sim::Table::num(d.rx_side.correlation_pct, 2),
-                sim::Table::num(a.rx_side.correlation_pct, 2)});
+                    sim::Table::integer(d.events_tx),
+                sim::Table::num(d.rx_correlation_pct, 2),
+                sim::Table::num(a, 2)});
   }
   std::printf("pulse-missing sweep (UWB erasures):\n%s", t1.to_text().c_str());
 
@@ -216,13 +230,13 @@ void print_robustness() {
     auto spec = strong_link_spec();
     config::set_scenario_key(spec, "link.distance_m", d_m);
     const config::PipelineFactory factory(spec);
-    const auto r = factory.make_end_to_end().run_datc(rec);
+    const auto r = factory.make_runner()->run_channel(rec, 0);
     const Real det = r.decode.pulses_in == 0
                          ? 0.0
                          : 100.0 * static_cast<Real>(r.decode.pulses_detected) /
                                static_cast<Real>(r.decode.pulses_in);
     t3.add_row({d_m, sim::Table::num(det, 1),
-                sim::Table::num(r.rx_side.correlation_pct, 2)});
+                sim::Table::num(r.rx_correlation_pct, 2)});
   }
   std::printf("\nlink-distance sweep (energy-detection RX):\n%s",
               t3.to_text().c_str());
@@ -351,9 +365,9 @@ void bench_e2e_run(benchmark::State& state) {
   auto spec = strong_link_spec();
   config::set_scenario_key(spec, "link.erasure_prob", "0.1");
   const config::PipelineFactory factory(spec);
-  const auto e2e = factory.make_end_to_end();
+  const auto runner = factory.make_runner();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(e2e.run_datc(rec).rx_side.correlation_pct);
+    benchmark::DoNotOptimize(runner->run_channel(rec, 0).rx_correlation_pct);
   }
 }
 BENCHMARK(bench_e2e_run)->Unit(benchmark::kMillisecond);

@@ -130,7 +130,7 @@ void print_stream_table() {
 
   std::vector<dsp::TimeSeries> shared_chans;
   for (auto& r : stream_channels(4, 2.0)) shared_chans.push_back(r.emg_v);
-  sim::SharedAerConfig shared;
+  uwb::SharedAerConfig shared;
   shared.aer.address_bits = 2;
   shared.aer.min_spacing_s = 2e-6;
   std::vector<sim::StreamParityResult> shared_parity;

@@ -8,15 +8,15 @@
 #include <memory>
 
 #include "emg/dataset.hpp"
-#include "sim/evaluation.hpp"
+#include "emg/evaluation.hpp"
 #include "sim/table_writer.hpp"
 
 namespace datc::bench {
 
 /// Lazily constructed shared fixtures (calibrations are Monte Carlo runs,
 /// the showcase recording is a full motor-unit synthesis).
-inline const sim::Evaluator& evaluator() {
-  static const sim::Evaluator eval{};
+inline const emg::Evaluator& evaluator() {
+  static const emg::Evaluator eval{};
   return eval;
 }
 

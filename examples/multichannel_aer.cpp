@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "sim/evaluation.hpp"
+#include "emg/evaluation.hpp"
 #include "sim/table_writer.hpp"
 #include "uwb/aer.hpp"
 
@@ -17,7 +17,7 @@ using dsp::Real;
 
 int main() {
   constexpr std::size_t kChannels = 8;
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
 
   // Eight electrodes over different forearm muscles: each sees its own
   // force trace and its own electrode gain.

@@ -6,6 +6,7 @@
 #include "core/symbols.hpp"
 #include "emg/artifacts.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "emg/fatigue.hpp"
 #include "emg/force_profile.hpp"
 #include "emg/generator.hpp"
@@ -16,7 +17,6 @@
 #include "runtime/faulty_session.hpp"
 #include "runtime/pipeline_runner.hpp"
 #include "runtime/session.hpp"
-#include "sim/end_to_end.hpp"
 #include "sim/stream_parity.hpp"
 #include "store/recorder.hpp"
 #include "uwb/link_pipeline.hpp"
@@ -28,8 +28,8 @@ PipelineFactory::PipelineFactory(ScenarioSpec spec)
   spec_.validate_or_throw();
 }
 
-sim::EvalConfig PipelineFactory::eval_config() const {
-  sim::EvalConfig eval;
+emg::EvalConfig PipelineFactory::eval_config() const {
+  emg::EvalConfig eval;
   eval.window_s = spec_.encoder.window_s;
   eval.datc_clock_hz = spec_.encoder.clock_hz;
   eval.dtc.dac_bits = spec_.encoder.dac_bits;
@@ -44,8 +44,8 @@ sim::EvalConfig PipelineFactory::eval_config() const {
   return eval;
 }
 
-sim::LinkConfig PipelineFactory::link_config() const {
-  sim::LinkConfig link;
+uwb::LinkConfig PipelineFactory::link_config() const {
+  uwb::LinkConfig link;
   link.seed = spec_.link.seed;
   link.modulator.shape.amplitude_v = spec_.link.pulse_amplitude_v;
   link.modulator.symbol_period_s = spec_.link.symbol_period_s;
@@ -59,12 +59,11 @@ sim::LinkConfig PipelineFactory::link_config() const {
   return link;
 }
 
-sim::SharedAerConfig PipelineFactory::shared_config() const {
-  sim::SharedAerConfig shared;
+uwb::SharedAerConfig PipelineFactory::shared_config() const {
+  uwb::SharedAerConfig shared;
   shared.aer.address_bits = spec_.resolved_address_bits();
   shared.aer.min_spacing_s = spec_.aer.min_spacing_s;
   shared.aer.max_queue_delay_s = spec_.aer.max_queue_delay_s;
-  shared.cache_detection = spec_.link.cache_detection;
   return shared;
 }
 
@@ -84,7 +83,7 @@ core::CalibrationPtr PipelineFactory::calibration() const {
   if (calibration_ == nullptr) {
     const auto eval = eval_config();
     calibration_ = core::shared_rate_calibration(
-        sim::calibration_config(eval, eval.datc_clock_hz));
+        emg::calibration_config(eval, eval.datc_clock_hz));
   }
   return calibration_;
 }
@@ -99,7 +98,6 @@ runtime::SessionConfig PipelineFactory::session_config() const {
   }
   auto cfg = sim::make_session_config(eval_config(), link_config(),
                                       calibration());
-  cfg.cache_detection = spec_.link.cache_detection;
   cfg.health = health_config();
   return cfg;
 }
@@ -211,10 +209,6 @@ std::vector<emg::Recording> PipelineFactory::make_recordings() const {
     recs.push_back(make_recording(c));
   }
   return recs;
-}
-
-sim::EndToEnd PipelineFactory::make_end_to_end() const {
-  return sim::EndToEnd(eval_config(), link_config());
 }
 
 std::unique_ptr<runtime::PipelineRunner> PipelineFactory::make_runner()

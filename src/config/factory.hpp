@@ -1,10 +1,10 @@
 #pragma once
 // PipelineFactory: the ONLY place a D-ATC pipeline is wired. Every
-// construction path — the batch reference sim (sim::EndToEnd), the
-// multi-channel engine (runtime::PipelineRunner), streaming sessions
-// (per-channel and shared-AER), and the store's record/replay setup —
-// is derived here from one validated ScenarioSpec, so the five paths are
-// parameterised identically by construction. The factory-built pipelines
+// construction path — the multi-channel batch engine
+// (runtime::PipelineRunner), streaming sessions (per-channel and
+// shared-AER), and the store's record/replay setup — is derived here
+// from one validated ScenarioSpec, so the four paths are parameterised
+// identically by construction. The factory-built pipelines
 // are bit-identical to the pre-refactor hand-wired ones (gated by
 // config_scenario_test's factory-vs-legacy parity suite).
 
@@ -15,14 +15,14 @@
 #include "config/scenario.hpp"
 #include "core/reconstruct.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "fault/fault.hpp"
 #include "fault/health.hpp"
 #include "runtime/faulty_session.hpp"
 #include "runtime/pipeline_runner.hpp"
 #include "runtime/session.hpp"
-#include "sim/end_to_end.hpp"
-#include "sim/evaluation.hpp"
 #include "store/recorder.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace datc::config {
 
@@ -34,9 +34,9 @@ class PipelineFactory {
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
 
   // ---- derived configuration structs (one mapping each, no restating)
-  [[nodiscard]] sim::EvalConfig eval_config() const;
-  [[nodiscard]] sim::LinkConfig link_config() const;
-  [[nodiscard]] sim::SharedAerConfig shared_config() const;
+  [[nodiscard]] emg::EvalConfig eval_config() const;
+  [[nodiscard]] uwb::LinkConfig link_config() const;
+  [[nodiscard]] uwb::SharedAerConfig shared_config() const;
   [[nodiscard]] runtime::RunnerConfig runner_config() const;
   /// Includes the decode-health thresholds from fault.health_* (disabled
   /// by default, in which case sessions are bit-identical to pre-fault).
@@ -71,18 +71,17 @@ class PipelineFactory {
   /// All `source.channels` recordings, in channel order.
   [[nodiscard]] std::vector<emg::Recording> make_recordings() const;
 
-  // ---- the five construction paths
-  /// (1) Batch reference pipeline.
-  [[nodiscard]] sim::EndToEnd make_end_to_end() const;
-  /// (2) High-throughput multi-channel engine (honours aer.topology).
+  // ---- the four construction paths
+  /// (1) Multi-channel batch engine (honours aer.topology);
+  /// run_channel(rec, 0) runs one recording over channel 0's radio.
   [[nodiscard]] std::unique_ptr<runtime::PipelineRunner> make_runner() const;
-  /// (3) One streaming channel over its private radio.
+  /// (2) One streaming channel over its private radio.
   [[nodiscard]] std::unique_ptr<runtime::StreamingSession>
   make_streaming_session(std::uint32_t channel_id) const;
-  /// (4) All channels streamed over one arbitrated AER radio.
+  /// (3) All channels streamed over one arbitrated AER radio.
   [[nodiscard]] std::unique_ptr<runtime::SharedAerStreamingSession>
   make_shared_session() const;
-  /// (5) Replay setup: the manifest `datc record` persists and
+  /// (4) Replay setup: the manifest `datc record` persists and
   /// store::replay_envelope rebuilds the receiver from.
   [[nodiscard]] store::SessionManifest manifest(Real duration_s) const;
 

@@ -73,12 +73,6 @@ std::uint64_t parse_uint_max(const std::string& s, std::uint64_t max) {
   return v;
 }
 
-bool parse_bool(const std::string& s) {
-  if (s == "true" || s == "1" || s == "yes") return true;
-  if (s == "false" || s == "0" || s == "no") return false;
-  throw ScenarioError("expected true/false, got '" + s + "'");
-}
-
 const char* model_name(SourceModel m) {
   switch (m) {
     case SourceModel::kMotorUnitPool: return "pool";
@@ -148,17 +142,6 @@ std::string name_value(const std::string& s) {
         [](ScenarioSpec& s, const std::string& v) {                     \
           s.field = parse_real(v);                                      \
         }                                                               \
-  }
-
-#define DATC_BOOL_KEY(key_str, field, doc_str)                            \
-  ScenarioKey {                                                           \
-    key_str, doc_str,                                                     \
-        [](const ScenarioSpec& s) {                                       \
-          return std::string(s.field ? "true" : "false");                 \
-        },                                                                \
-        [](ScenarioSpec& s, const std::string& v) {                       \
-          s.field = parse_bool(v);                                        \
-        }                                                                 \
   }
 
 #define DATC_UINT_KEY(key_str, field, type, max, doc_str)               \
@@ -290,9 +273,6 @@ std::vector<ScenarioKey> build_registry() {
   keys.push_back(DATC_REAL_KEY(
       "link.false_alarm_prob", link.false_alarm_prob,
       "energy detector per-slot false alarm probability (0, 0.5)"));
-  keys.push_back(DATC_BOOL_KEY(
-      "link.cache_detection", link.cache_detection,
-      "memoise per-energy detection probability (bit-identical)"));
 
   // ---- aer
   keys.push_back(ScenarioKey{
@@ -403,7 +383,6 @@ std::vector<ScenarioKey> build_registry() {
 }
 
 #undef DATC_REAL_KEY
-#undef DATC_BOOL_KEY
 #undef DATC_UINT_KEY
 
 std::string last_component(const std::string& key) {

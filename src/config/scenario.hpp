@@ -88,7 +88,6 @@ struct ScenarioSpec {
     Real pulse_amplitude_v{0.1};
     Real symbol_period_s{100e-9};
     Real false_alarm_prob{1e-6};
-    bool cache_detection{true};  ///< bit-identical fast detection stage
   } link;
 
   struct Aer {

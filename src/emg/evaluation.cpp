@@ -48,7 +48,7 @@ core::RateCalibrationConfig calibration_config(const EvalConfig& config,
 
 Evaluator::Evaluator(const EvalConfig& config) : config_(config) {
   // Memoised: repeated Evaluator construction (scenario grid points,
-  // per-point EndToEnd instances) shares the immutable tables.
+  // per-point runners) shares the immutable tables.
   atc_cal_ = core::shared_rate_calibration(
       calibration_config(config_, config_.analog_fs_hz));
   datc_cal_ = core::shared_rate_calibration(

@@ -8,6 +8,7 @@
 #include "emg/dataset.hpp"
 #include "emg/evaluation.hpp"
 #include "runtime/thread_pool.hpp"
+#include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
 
 namespace datc::runtime {
@@ -54,12 +55,10 @@ ChannelReport PipelineRunner::run_channel(const emg::Recording& rec,
   const core::EventStream tx = arena.take_stream();
   out.events_tx = tx.size();
 
-  // Private link per channel, seeded deterministically; the detection
-  // cache is bit-identical and ~25x cheaper in stage 1.
+  // Private link per channel, seeded deterministically.
   uwb::LinkConfig link = config_.link;
   link.seed = config_.link.seed ^ static_cast<std::uint64_t>(channel_id);
-  auto link_run = uwb::run_datc_over_link(tx, link, config_.eval.dtc.dac_bits,
-                                          /*cache_detection=*/true);
+  auto link_run = uwb::run_datc_over_link(tx, link, config_.eval.dtc.dac_bits);
   out.pulses_tx = link_run.pulses_tx;
   out.pulses_erased = link_run.pulses_erased;
   auto events_rx = std::move(link_run.events_rx);

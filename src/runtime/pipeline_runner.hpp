@@ -17,8 +17,9 @@
 // (shared mode) and every worker writes only its own output slot, so the
 // parallel run is bit-identical to the serial run — and, because every
 // fast path is proven bit-identical to its reference (encode_datc,
-// UwbReceiver reference decode), also to the seed sim::EndToEnd pipeline
-// with the same per-channel seeds. Tests assert both properties.
+// UwbReceiver reference decode), also to the seed per-cycle pipeline
+// with the same per-channel seeds (the test-only oracle in
+// tests/pipeline_reference.hpp). Tests assert both properties.
 
 #include <cstdint>
 #include <memory>
@@ -102,7 +103,8 @@ class PipelineRunner {
   [[nodiscard]] BatchReport run_serial(
       std::span<const emg::Recording> recordings) const;
 
-  /// One channel of the fast per-channel pipeline (tests and benches).
+  /// One channel over its private radio, seeded link.seed ^ channel_id
+  /// (examples, benches and tests run single recordings through it).
   [[nodiscard]] ChannelReport run_channel(const emg::Recording& rec,
                                           std::uint32_t channel_id) const;
 

@@ -20,13 +20,14 @@ namespace {
 /// run_datc_over_link / run_aer_over_link exactly.
 uwb::UwbReceiverConfig receiver_config(const SessionConfig& config,
                                        const uwb::ModulatorConfig& mod,
-                                       unsigned address_bits) {
+                                       unsigned address_bits,
+                                       bool cache_detection) {
   uwb::UwbReceiverConfig rxc;
   rxc.detector = config.link.detector;
   rxc.modulator = mod;
   rxc.address_bits = address_bits;
   rxc.decode_codes = true;
-  rxc.cache_detection = config.cache_detection;
+  rxc.cache_detection = cache_detection;
   return rxc;
 }
 
@@ -81,7 +82,7 @@ StreamingSession::StreamingSession(const SessionConfig& config,
       modulator_(frame_modulator(config), /*address_bits=*/0),
       channel_(config.link.channel,
                link_rngs(config.link.seed ^ channel_id).channel),
-      receiver_(receiver_config(config, frame_modulator(config), 0),
+      receiver_(receiver_config(config, frame_modulator(config), 0, true),
                 config.link.channel,
                 link_rngs(config.link.seed ^ channel_id).rx),
       reconstructor_(config.recon, config.calibration),
@@ -222,7 +223,8 @@ SharedAerStreamingSession::SharedAerStreamingSession(
       modulator_(frame_modulator(config), shared.aer.address_bits),
       channel_(config.link.channel, link_rngs(config.link.seed).channel),
       receiver_(receiver_config(config, frame_modulator(config),
-                                shared.aer.address_bits),
+                                shared.aer.address_bits,
+                                shared.cache_detection),
                 config.link.channel, link_rngs(config.link.seed).rx),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
@@ -239,9 +241,6 @@ SharedAerStreamingSession::SharedAerStreamingSession(
                    shared_.aer.max_queue_delay_s >= 0.0,
                "SharedAerStreamingSession: timing parameters must be "
                "non-negative");
-  dsp::require(!shared_.ideal_radio,
-               "SharedAerStreamingSession: ideal_radio is a batch-only "
-               "reference mode");
   queues_.resize(num_channels);
   rx_events_.resize(num_channels);
   arv_.resize(num_channels);

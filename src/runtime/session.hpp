@@ -57,7 +57,6 @@ struct SessionConfig {
   uwb::LinkConfig link{};  ///< link.seed is the base seed (xor channel id)
   core::ReconstructionConfig recon{};
   core::CalibrationPtr calibration;  ///< required (shared across sessions)
-  bool cache_detection{true};  ///< bit-identical fast detection stage
   bool keep_rx_events{false};  ///< retain decoded events (tests/debug)
   /// Decode-health thresholds; default-disabled (all zero), in which case
   /// the session is bit-identical to one without the monitor. When armed

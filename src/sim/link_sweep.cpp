@@ -11,9 +11,12 @@
 #include "emg/evaluation.hpp"
 #include "sim/table_writer.hpp"
 #include "uwb/aer.hpp"
+#include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
 
 namespace datc::sim {
+
+using dsp::Real;
 namespace {
 
 /// Greedy two-pointer match of the decoded stream against the arbitrated
@@ -82,7 +85,7 @@ LinkSweepResult run_link_sweep(const LinkSweepConfig& config) {
 
   // Synthesise and encode every channel once; the sweep axes only touch
   // the radio, not the encoders.
-  const Evaluator eval(config.eval);
+  const emg::Evaluator eval(config.eval);
   core::DatcEncoderConfig enc;
   enc.dtc = config.eval.dtc;
   enc.clock_hz = config.eval.datc_clock_hz;
@@ -131,11 +134,12 @@ LinkSweepResult run_link_sweep(const LinkSweepConfig& config) {
     const auto merged = uwb::aer_merge(subset, config.shared.aer, &arbiter);
     for (const Real dist : config.distances_m) {
       for (const Real pfa : config.false_alarm_probs) {
-        LinkConfig link = config.link;
+        uwb::LinkConfig link = config.link;
         link.channel.distance_m = dist;
         link.detector.false_alarm_prob = pfa;
-        auto run = run_aer_over_link(merged, static_cast<unsigned>(nch), link,
-                                     config.shared, config.eval.dtc.dac_bits);
+        auto run = uwb::run_aer_over_link(merged, static_cast<unsigned>(nch),
+                                          link, config.shared,
+                                          config.eval.dtc.dac_bits);
         run.arbiter = arbiter;
 
         LinkSweepPoint p;

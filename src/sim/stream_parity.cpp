@@ -9,12 +9,14 @@
 #include "core/reconstruct.hpp"
 #include "core/symbols.hpp"
 #include "dsp/types.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
-#include "sim/end_to_end.hpp"
 #include "store/recorder.hpp"
 #include "uwb/link_pipeline.hpp"
 
 namespace datc::sim {
+
+using dsp::Real;
 
 namespace {
 
@@ -44,7 +46,7 @@ std::size_t effective_chunk(std::size_t chunk_size, std::size_t total) {
 
 }  // namespace
 
-store::SessionManifest make_session_manifest(const EvalConfig& eval,
+store::SessionManifest make_session_manifest(const emg::EvalConfig& eval,
                                              std::uint32_t channel,
                                              Real duration_s) {
   store::SessionManifest m;
@@ -60,22 +62,21 @@ store::SessionManifest make_session_manifest(const EvalConfig& eval,
   return m;
 }
 
-runtime::SessionConfig make_session_config(const EvalConfig& eval,
-                                           const LinkConfig& link,
+runtime::SessionConfig make_session_config(const emg::EvalConfig& eval,
+                                           const uwb::LinkConfig& link,
                                            core::CalibrationPtr calibration) {
   runtime::SessionConfig cfg;
-  cfg.encoder = datc_encoder_config(eval);
+  cfg.encoder = emg::datc_encoder_config(eval);
   cfg.analog_fs_hz = eval.analog_fs_hz;
   cfg.link = link;
-  cfg.recon = datc_reconstruction_config(eval);
+  cfg.recon = emg::datc_reconstruction_config(eval);
   cfg.calibration = std::move(calibration);
-  cfg.cache_detection = true;
   return cfg;
 }
 
 StreamParityResult check_stream_output(const dsp::TimeSeries& emg_v,
-                                       const EvalConfig& eval,
-                                       const LinkConfig& link,
+                                       const emg::EvalConfig& eval,
+                                       const uwb::LinkConfig& link,
                                        core::CalibrationPtr calibration,
                                        std::size_t chunk_size,
                                        std::uint32_t channel_id,
@@ -86,15 +87,14 @@ StreamParityResult check_stream_output(const dsp::TimeSeries& emg_v,
 
   // ---- batch reference: the PipelineRunner per-channel pipeline.
   core::EventArena arena;
-  core::encode_datc_events(emg_v, datc_encoder_config(eval), arena);
+  core::encode_datc_events(emg_v, emg::datc_encoder_config(eval), arena);
   const core::EventStream tx = arena.take_stream();
-  LinkConfig link_c = link;
+  uwb::LinkConfig link_c = link;
   link_c.seed = link.seed ^ static_cast<std::uint64_t>(channel_id);
-  auto link_run = run_datc_over_link(tx, link_c, eval.dtc.dac_bits,
-                                     /*cache_detection=*/true);
+  auto link_run = uwb::run_datc_over_link(tx, link_c, eval.dtc.dac_bits);
   link_run.events_rx.sort_by_time();
   const Real duration = emg_v.duration_s();
-  const core::DatcReconstructor recon(datc_reconstruction_config(eval),
+  const core::DatcReconstructor recon(emg::datc_reconstruction_config(eval),
                                       calibration);
   const auto arv_batch = recon.reconstruct(link_run.events_rx, duration);
 
@@ -106,8 +106,8 @@ StreamParityResult check_stream_output(const dsp::TimeSeries& emg_v,
 }
 
 StreamParityResult check_stream_parity(const dsp::TimeSeries& emg_v,
-                                       const EvalConfig& eval,
-                                       const LinkConfig& link,
+                                       const emg::EvalConfig& eval,
+                                       const uwb::LinkConfig& link,
                                        core::CalibrationPtr calibration,
                                        std::size_t chunk_size,
                                        std::uint32_t channel_id) {
@@ -131,8 +131,8 @@ StreamParityResult check_stream_parity(const dsp::TimeSeries& emg_v,
 }
 
 StreamParityResult check_shared_stream_parity(
-    std::span<const dsp::TimeSeries> channels, const EvalConfig& eval,
-    const LinkConfig& link, const SharedAerConfig& shared,
+    std::span<const dsp::TimeSeries> channels, const emg::EvalConfig& eval,
+    const uwb::LinkConfig& link, const uwb::SharedAerConfig& shared,
     core::CalibrationPtr calibration, std::size_t chunk_size) {
   StreamParityResult out;
   out.chunk_size = chunk_size;
@@ -149,11 +149,12 @@ StreamParityResult check_shared_stream_parity(
   std::vector<core::EventStream> tx(n_ch);
   for (std::size_t c = 0; c < n_ch; ++c) {
     core::EventArena arena;
-    core::encode_datc_events(channels[c], datc_encoder_config(eval), arena);
+    core::encode_datc_events(channels[c], emg::datc_encoder_config(eval),
+                             arena);
     tx[c] = arena.take_stream();
   }
-  auto link_run = run_aer_over_link(tx, link, shared, eval.dtc.dac_bits);
-  const core::DatcReconstructor recon(datc_reconstruction_config(eval),
+  auto link_run = uwb::run_aer_over_link(tx, link, shared, eval.dtc.dac_bits);
+  const core::DatcReconstructor recon(emg::datc_reconstruction_config(eval),
                                       calibration);
   std::vector<std::vector<Real>> arv_batch(n_ch);
   for (std::size_t c = 0; c < n_ch; ++c) {
@@ -163,7 +164,6 @@ StreamParityResult check_shared_stream_parity(
 
   // ---- streaming shared session, lockstep channel-major rounds.
   auto session_cfg = make_session_config(eval, link, calibration);
-  session_cfg.cache_detection = shared.cache_detection;
   session_cfg.keep_rx_events = true;
   runtime::SharedAerStreamingSession session(session_cfg, shared, n_ch);
   const std::size_t chunk = effective_chunk(chunk_size, n_samples);

@@ -12,20 +12,17 @@
 
 #include "core/reconstruct.hpp"
 #include "dsp/types.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
-#include "sim/evaluation.hpp"
 #include "store/recorder.hpp"
 #include "uwb/link_pipeline.hpp"
 
 namespace datc::sim {
 
-using uwb::LinkConfig;
-using uwb::SharedAerConfig;
-
 /// Streaming-session parameterisation mirroring the batch engine exactly
 /// (PipelineRunner::run_channel and Evaluator::reconstruct_datc).
 [[nodiscard]] runtime::SessionConfig make_session_config(
-    const EvalConfig& eval, const LinkConfig& link,
+    const emg::EvalConfig& eval, const uwb::LinkConfig& link,
     core::CalibrationPtr calibration);
 
 /// The replay manifest for a session parameterised by `eval` — the ONE
@@ -33,7 +30,7 @@ using uwb::SharedAerConfig;
 /// the replay tests all share it, so a new replay-relevant parameter
 /// cannot silently diverge between them).
 [[nodiscard]] store::SessionManifest make_session_manifest(
-    const EvalConfig& eval, std::uint32_t channel, Real duration_s);
+    const emg::EvalConfig& eval, std::uint32_t channel, dsp::Real duration_s);
 
 struct StreamParityResult {
   std::size_t chunk_size{0};  ///< samples per chunk (per channel); 0 = whole
@@ -42,7 +39,7 @@ struct StreamParityResult {
   std::size_t events_batch{0};
   std::size_t events_stream{0};
   std::size_t arv_samples{0};
-  Real max_abs_arv_diff{0.0};
+  dsp::Real max_abs_arv_diff{0.0};
 
   [[nodiscard]] bool identical() const { return events_equal && arv_equal; }
 };
@@ -51,8 +48,8 @@ struct StreamParityResult {
 /// sample chunks vs the batch encode -> link -> reconstruct path with the
 /// same seeds. chunk_size 0 feeds the whole record as one chunk.
 [[nodiscard]] StreamParityResult check_stream_parity(
-    const dsp::TimeSeries& emg_v, const EvalConfig& eval,
-    const LinkConfig& link, core::CalibrationPtr calibration,
+    const dsp::TimeSeries& emg_v, const emg::EvalConfig& eval,
+    const uwb::LinkConfig& link, core::CalibrationPtr calibration,
     std::size_t chunk_size, std::uint32_t channel_id = 0);
 
 /// Compares outputs a session ALREADY produced (its kept decoded events
@@ -60,17 +57,17 @@ struct StreamParityResult {
 /// uses this so the verified artifact is the envelope it actually wrote,
 /// including the CLI's own feed path, at no extra streaming cost.
 [[nodiscard]] StreamParityResult check_stream_output(
-    const dsp::TimeSeries& emg_v, const EvalConfig& eval,
-    const LinkConfig& link, core::CalibrationPtr calibration,
+    const dsp::TimeSeries& emg_v, const emg::EvalConfig& eval,
+    const uwb::LinkConfig& link, core::CalibrationPtr calibration,
     std::size_t chunk_size, std::uint32_t channel_id,
-    const core::EventStream& rx_events, const std::vector<Real>& arv);
+    const core::EventStream& rx_events, const std::vector<dsp::Real>& arv);
 
 /// Shared-AER mode: every signal is one contending channel, chunks arrive
 /// in lockstep rounds of `chunk_size` samples per channel. Compared
 /// against the batch run_aer_over_link + per-channel reconstruction.
 [[nodiscard]] StreamParityResult check_shared_stream_parity(
-    std::span<const dsp::TimeSeries> channels, const EvalConfig& eval,
-    const LinkConfig& link, const SharedAerConfig& shared,
+    std::span<const dsp::TimeSeries> channels, const emg::EvalConfig& eval,
+    const uwb::LinkConfig& link, const uwb::SharedAerConfig& shared,
     core::CalibrationPtr calibration, std::size_t chunk_size);
 
 }  // namespace datc::sim

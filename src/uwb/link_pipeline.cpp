@@ -8,34 +8,50 @@
 
 namespace datc::uwb {
 
-DatcLinkRun run_datc_over_link(const core::EventStream& tx,
-                               const LinkConfig& link, unsigned code_bits,
-                               bool cache_detection) {
-  DatcLinkRun out;
-  ModulatorConfig mod = link.modulator;
-  mod.code_bits = code_bits;
-  const auto train = modulate_datc(tx, mod);
-  out.pulses_tx = train.size();
+namespace {
 
-  // Both Rng streams derive from the seed BEFORE any propagation draw:
-  // the receiver's stream must not depend on the pulse count consumed by
-  // the channel, or no chunked execution could ever reproduce this run
-  // (the streaming session derives the same two streams up front).
+/// Propagates `train` and decodes it with a receiver configured as `rxc`
+/// (the detector comes from `link`). Both Rng streams derive from the
+/// seed BEFORE any propagation draw: the receiver's stream must not
+/// depend on the pulse count consumed by the channel, or no chunked
+/// execution could ever reproduce this run (the streaming session
+/// derives the same two streams up front).
+LinkRun receive_over_link(const PulseTrain& train, const LinkConfig& link,
+                          UwbReceiverConfig rxc) {
+  LinkRun out;
+  out.pulses_tx = train.size();
   dsp::Rng rng(link.seed);
   dsp::Rng rx_rng = rng.fork();
   const auto ch = propagate(train, link.channel, rng);
   out.pulses_erased = ch.erased;
 
-  UwbReceiverConfig rxc;
   rxc.detector = link.detector;
-  rxc.modulator = mod;
-  rxc.decode_codes = true;
-  rxc.cache_detection = cache_detection;
   UwbReceiver rx(rxc, link.channel, rx_rng);
   out.events_rx = rx.decode(ch.received);
   out.events_rx.sort_by_time();
   out.decode = rx.stats();
   return out;
+}
+
+}  // namespace
+
+LinkRun run_datc_over_link(const core::EventStream& tx,
+                           const LinkConfig& link, unsigned code_bits) {
+  UwbReceiverConfig rxc;
+  rxc.modulator = link.modulator;
+  rxc.modulator.code_bits = code_bits;
+  rxc.decode_codes = true;
+  rxc.cache_detection = true;
+  return receive_over_link(modulate_datc(tx, rxc.modulator), link, rxc);
+}
+
+LinkRun run_atc_over_link(const core::EventStream& tx,
+                          const LinkConfig& link) {
+  UwbReceiverConfig rxc;
+  rxc.modulator = link.modulator;
+  rxc.decode_codes = false;
+  rxc.cache_detection = true;
+  return receive_over_link(modulate_atc(tx, rxc.modulator), link, rxc);
 }
 
 SharedAerRun run_aer_over_link(
@@ -56,36 +72,22 @@ SharedAerRun run_aer_over_link(const core::EventStream& merged_tx,
                                unsigned num_channels, const LinkConfig& link,
                                const SharedAerConfig& shared,
                                unsigned code_bits) {
+  UwbReceiverConfig rxc;
+  rxc.modulator = link.modulator;
+  rxc.modulator.code_bits = code_bits;
+  rxc.address_bits = shared.aer.address_bits;
+  rxc.decode_codes = true;
+  rxc.cache_detection = shared.cache_detection;
+  auto air = receive_over_link(
+      modulate_aer(merged_tx, rxc.modulator, shared.aer.address_bits), link,
+      rxc);
+
   SharedAerRun out;
   out.merged_tx = merged_tx;
-
-  if (shared.ideal_radio) {
-    out.merged_rx = out.merged_tx;
-  } else {
-    ModulatorConfig mod = link.modulator;
-    mod.code_bits = code_bits;
-    const auto train =
-        modulate_aer(out.merged_tx, mod, shared.aer.address_bits);
-    out.pulses_tx = train.size();
-
-    // RX stream forked before propagation — see run_datc_over_link.
-    dsp::Rng rng(link.seed);
-    dsp::Rng rx_rng = rng.fork();
-    const auto ch = propagate(train, link.channel, rng);
-    out.pulses_erased = ch.erased;
-
-    UwbReceiverConfig rxc;
-    rxc.detector = link.detector;
-    rxc.modulator = mod;
-    rxc.address_bits = shared.aer.address_bits;
-    rxc.decode_codes = true;
-    rxc.cache_detection = shared.cache_detection;
-    UwbReceiver rx(rxc, link.channel, rx_rng);
-    out.merged_rx = rx.decode(ch.received);
-    out.merged_rx.sort_by_time();
-    out.decode = rx.stats();
-  }
-
+  out.merged_rx = std::move(air.events_rx);
+  out.pulses_tx = air.pulses_tx;
+  out.pulses_erased = air.pulses_erased;
+  out.decode = air.decode;
   out.per_channel_rx = aer_split(out.merged_rx, num_channels, &out.demux);
   return out;
 }

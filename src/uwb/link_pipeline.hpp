@@ -1,9 +1,10 @@
 #pragma once
 // The shared TX -> RX link stage: modulate an event stream, propagate it
-// through the channel, decode with the energy-detection receiver. Both
-// the reference pipeline (sim::EndToEnd) and the streaming engine
-// (runtime::PipelineRunner / SessionManager) run their radio through
-// these functions, so the two paths cannot drift.
+// through the channel, decode with the energy-detection receiver. The
+// batch engine (runtime::PipelineRunner), the link sweep and the
+// streaming parity checks run their radio through these functions, and
+// the streaming sessions derive their Rng streams and receiver exactly
+// as they do, so the paths cannot drift.
 
 #include <cstdint>
 #include <vector>
@@ -22,30 +23,30 @@ struct LinkConfig {
   std::uint64_t seed{7};
 };
 
-/// One TX -> RX pass over the UWB link: modulate the D-ATC packet stream,
-/// propagate, decode with an energy-detection receiver, sort by time.
-struct DatcLinkRun {
+/// One TX -> RX pass over the UWB link: modulate the packet stream,
+/// propagate, decode with an energy-detection receiver (per-pulse
+/// detection probability memoised, bit-identical to the uncached
+/// receiver), sort by time.
+struct LinkRun {
   std::size_t pulses_tx{0};
   std::size_t pulses_erased{0};
   core::EventStream events_rx;
   DecodeStats decode{};
 };
 
-/// `cache_detection` memoises the per-pulse detection probability
-/// (bit-identical output; the engine enables it, the reference path
-/// keeps the seed cost model).
-[[nodiscard]] DatcLinkRun run_datc_over_link(const core::EventStream& tx,
-                                             const LinkConfig& link,
-                                             unsigned code_bits,
-                                             bool cache_detection = false);
+/// D-ATC packets: marker plus `code_bits` code slots per event.
+[[nodiscard]] LinkRun run_datc_over_link(const core::EventStream& tx,
+                                         const LinkConfig& link,
+                                         unsigned code_bits);
+
+/// ATC: one marker pulse per event, no code slots.
+[[nodiscard]] LinkRun run_atc_over_link(const core::EventStream& tx,
+                                        const LinkConfig& link);
 
 /// Shared-medium AER link: N encoders contend for ONE radio.
 struct SharedAerConfig {
   AerConfig aer{};            ///< arbiter parameters (address width, slot)
-  /// Arbitration only — bypass modulate/propagate/decode. This is the
-  /// ideal-radio reference the noiseless equality tests compare against.
-  bool ideal_radio{false};
-  bool cache_detection{true};
+  bool cache_detection{true}; ///< memoised detection (bit-identical)
 };
 
 /// One pass of the arbitrated link:
@@ -53,7 +54,7 @@ struct SharedAerConfig {
 /// code slots) -> channel -> address-aware decode -> demux per channel.
 struct SharedAerRun {
   core::EventStream merged_tx;  ///< arbitrated stream offered to the radio
-  core::EventStream merged_rx;  ///< decoded stream (== merged_tx when ideal)
+  core::EventStream merged_rx;  ///< decoded stream
   std::vector<core::EventStream> per_channel_rx;
   AerStats arbiter{};           ///< merge-side arbitration stats
   AerStats demux{};             ///< split-side stats (invalid addresses)

@@ -193,27 +193,13 @@ config::ScenarioSpec identity_spec() {
   return spec;
 }
 
-sim::LinkConfig legacy_link() {
-  sim::LinkConfig link;
+uwb::LinkConfig legacy_link() {
+  uwb::LinkConfig link;
   link.seed = 321;
   link.channel.distance_m = 0.6;
   link.channel.ref_loss_db = 30.0;
   link.channel.erasure_prob = 0.05;
   return link;
-}
-
-TEST(FactoryParityTest, BatchEndToEndMatchesLegacyWiring) {
-  const config::PipelineFactory factory(identity_spec());
-  const auto rec = factory.make_recording(0);
-
-  const sim::EndToEnd legacy(sim::EvalConfig{}, legacy_link());
-  const auto a = factory.make_end_to_end().run_datc(rec);
-  const auto b = legacy.run_datc(rec);
-  EXPECT_EQ(a.pulses_tx, b.pulses_tx);
-  EXPECT_EQ(a.pulses_erased, b.pulses_erased);
-  EXPECT_EQ(a.events_rx, b.events_rx);
-  EXPECT_EQ(a.rx_side.correlation_pct, b.rx_side.correlation_pct);
-  EXPECT_EQ(a.tx_side.correlation_pct, b.tx_side.correlation_pct);
 }
 
 TEST(FactoryParityTest, RunnerConfigMatchesLegacyWiring) {
@@ -285,13 +271,13 @@ TEST(FactoryParityTest, SharedAerSessionMatchesLegacyWiring) {
   std::vector<core::EventStream> tx;
   for (const auto& rec : recs) {
     tx.push_back(core::encode_datc_events(
-        rec.emg_v, sim::datc_encoder_config(sim::EvalConfig{})));
+        rec.emg_v, emg::datc_encoder_config(emg::EvalConfig{})));
   }
-  sim::SharedAerConfig legacy_shared;
+  uwb::SharedAerConfig legacy_shared;
   legacy_shared.aer.address_bits = 2;
   legacy_shared.aer.min_spacing_s = 2e-6;
   const auto legacy =
-      sim::run_aer_over_link(tx, legacy_link(), legacy_shared, 4);
+      uwb::run_aer_over_link(tx, legacy_link(), legacy_shared, 4);
 
   auto session_cfg = factory.session_config();
   session_cfg.keep_rx_events = true;  // retain the streams for comparison

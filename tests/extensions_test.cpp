@@ -11,7 +11,7 @@
 #include "dsp/filter_design.hpp"
 #include "emg/artifacts.hpp"
 #include "emg/dataset.hpp"
-#include "sim/evaluation.hpp"
+#include "emg/evaluation.hpp"
 
 namespace {
 
@@ -68,7 +68,7 @@ TEST(Extensions, ComparatorOffsetShiftsOperatingPoint) {
 
 TEST(Extensions, MetastableComparatorDegradesGracefully) {
   const auto rec = mid_recording(406);
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   const auto clean = eval.datc(rec);
 
   core::DatcEncoderConfig flaky;
@@ -119,7 +119,7 @@ TEST(Extensions, DacInlBarelyMovesDatc) {
   // Static DAC nonlinearity of 0.3 LSB RMS: the feedback loop retargets
   // around it; correlation should not collapse.
   const auto rec = mid_recording(408);
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   const auto ideal = eval.datc(rec);
 
   core::DatcEncoderConfig cfg;
@@ -153,7 +153,7 @@ TEST(Extensions, DatasetSubsetHeadlineProperty) {
   dc.num_patterns = 12;
   dc.duration_s = 8.0;
   const emg::DatasetFactory factory(dc);
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   Real sum_a = 0.0;
   Real sum_d = 0.0;
   std::size_t ev_min_d = SIZE_MAX;

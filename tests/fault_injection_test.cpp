@@ -579,8 +579,8 @@ TEST(EnvelopeHoldTest, StarvationHoldsEnvelopeDeterministically) {
     samples[i] = 0.0;
   }
 
-  const sim::EvalConfig eval;
-  sim::LinkConfig link;
+  const emg::EvalConfig eval;
+  uwb::LinkConfig link;
   link.seed = 17;
   link.channel.distance_m = 0.6;  // a link that actually closes
   link.channel.ref_loss_db = 30.0;

@@ -4,10 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/end_to_end.hpp"
-#include "sim/evaluation.hpp"
-#include "synth/report.hpp"
 #include "dsp/stats.hpp"
+#include "emg/evaluation.hpp"
+#include "synth/report.hpp"
 #include "uwb/aer.hpp"
 
 namespace {
@@ -24,7 +23,7 @@ TEST(Integration, FixedThresholdFailsWeakSubjectDatcDoesNot) {
   weak.gain_v = 0.16;
   weak.duration_s = 10.0;
   const auto rec = emg::make_recording(weak);
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   const auto a = eval.atc(rec, 0.3);
   const auto d = eval.datc(rec);
   EXPECT_LT(a.num_events, d.num_events / 3);
@@ -34,7 +33,7 @@ TEST(Integration, FixedThresholdFailsWeakSubjectDatcDoesNot) {
 TEST(Integration, SymbolOrderingAcrossSchemes) {
   // packet-based >> D-ATC > ATC for any recording (Sec. III-B).
   const auto rec = emg::showcase_recording();
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   const auto a = eval.atc(rec, 0.3);
   const auto d = eval.datc(rec);
   const auto packet = core::packet_symbols(rec.emg_v.size(), 12);
@@ -45,7 +44,7 @@ TEST(Integration, SymbolOrderingAcrossSchemes) {
 TEST(Integration, MultichannelAerRoundTrip) {
   // Three electrodes encoded with D-ATC, merged over one AER link,
   // split and reconstructed per channel.
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   std::vector<emg::Recording> recs;
   std::vector<core::EventStream> streams;
   for (std::uint64_t s = 0; s < 3; ++s) {
@@ -109,9 +108,9 @@ TEST(Integration, FrameSizeTradeoffExists) {
   spec.duration_s = 8.0;
   const auto rec = emg::make_recording(spec);
   for (const auto frame : core::kAllFrameSizes) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.dtc.frame = frame;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
     const auto d = eval.datc(rec);
     EXPECT_GT(d.correlation_pct, 80.0)
         << "frame=" << core::frame_cycles(frame);
@@ -124,9 +123,9 @@ TEST(Integration, DacResolutionSweepMonotoneCost) {
   const auto rec = emg::showcase_recording();
   std::size_t last_symbols_per_event = 0;
   for (const unsigned bits : {2u, 4u, 6u}) {
-    sim::EvalConfig cfg;
+    emg::EvalConfig cfg;
     cfg.dtc.dac_bits = bits;
-    const sim::Evaluator eval(cfg);
+    const emg::Evaluator eval(cfg);
     const auto d = eval.datc(rec);
     EXPECT_EQ(d.symbols.symbols_per_event, 1u + bits);
     EXPECT_GT(d.symbols.symbols_per_event, last_symbols_per_event);

@@ -1,15 +1,18 @@
 // The multi-channel encoding engine: parallel output must be bit-identical
 // to serial output, and the fast per-channel pipeline must be bit-identical
-// to the reference sim::EndToEnd path for the same per-channel seeds.
+// to the seed reference chain (tests/pipeline_reference.hpp) for the same
+// per-channel seeds.
 
 #include <atomic>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
+#include "core/event_arena.hpp"
+#include "pipeline_reference.hpp"
 #include "runtime/pipeline_runner.hpp"
-#include "sim/end_to_end.hpp"
 #include "runtime/thread_pool.hpp"
+#include "uwb/aer.hpp"
 
 namespace {
 
@@ -94,10 +97,10 @@ TEST(PipelineRunner, ParallelIsBitIdenticalToSerial) {
   EXPECT_EQ(parallel.emg_seconds_processed, 12.0);
 }
 
-TEST(PipelineRunner, FastPathMatchesReferenceEndToEnd) {
+TEST(PipelineRunner, FastPathMatchesReference) {
   // The engine's per-channel pipeline (block encode + cached-detection
-  // receiver) must reproduce the seed reference path exactly: same encoder
-  // arithmetic, same Rng draw sequence, same scores.
+  // receiver + paired scoring) must reproduce the seed reference chain
+  // exactly: same encoder arithmetic, same Rng draw sequence, same scores.
   const auto recs = make_channels(3, 2.0);
   runtime::RunnerConfig cfg;
   cfg.jobs = 2;
@@ -105,49 +108,28 @@ TEST(PipelineRunner, FastPathMatchesReferenceEndToEnd) {
   runtime::PipelineRunner runner(cfg);
   const auto engine = runner.run(recs);
 
-  const sim::EndToEnd reference(cfg.eval, cfg.link);
-  const auto ref = reference.run_datc_batch(recs, /*jobs=*/1);
-
-  ASSERT_EQ(engine.channels.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(engine.channels[i].pulses_tx, ref[i].pulses_tx) << i;
-    EXPECT_EQ(engine.channels[i].pulses_erased, ref[i].pulses_erased) << i;
-    EXPECT_EQ(engine.channels[i].events_rx, ref[i].events_rx) << i;
-    EXPECT_EQ(engine.channels[i].rx_correlation_pct,
-              ref[i].rx_side.correlation_pct)
-        << i;
-    EXPECT_EQ(engine.channels[i].tx_correlation_pct,
-              ref[i].tx_side.correlation_pct)
-        << i;
+  ASSERT_EQ(engine.channels.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    uwb::LinkConfig link = cfg.link;
+    link.seed = cfg.link.seed ^ static_cast<std::uint64_t>(i);
+    const auto ref =
+        oracle::reference_datc_channel(runner.evaluator(), recs[i], link);
+    const auto& ch = engine.channels[i];
+    EXPECT_EQ(ch.events_tx, ref.events_tx) << i;
+    EXPECT_EQ(ch.pulses_tx, ref.pulses_tx) << i;
+    EXPECT_EQ(ch.pulses_erased, ref.pulses_erased) << i;
+    EXPECT_EQ(ch.events_rx, ref.events_rx) << i;
+    EXPECT_EQ(ch.rx_correlation_pct, ref.rx_correlation_pct) << i;
+    EXPECT_EQ(ch.tx_correlation_pct, ref.tx_correlation_pct) << i;
   }
-}
-
-TEST(PipelineRunner, BatchApiIsJobCountInvariant) {
-  const auto recs = make_channels(4, 1.5);
-  const sim::EvalConfig eval;
-  sim::LinkConfig link;
-  link.seed = 3;
-  const sim::EndToEnd e2e(eval, link);
-  const auto serial = e2e.run_datc_batch(recs, 1);
-  const auto parallel = e2e.run_datc_batch(recs, 3);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].rx_side.correlation_pct,
-              parallel[i].rx_side.correlation_pct)
-        << i;
-    EXPECT_EQ(serial[i].events_rx, parallel[i].events_rx) << i;
-  }
-  // Channel 0 reproduces the single-channel API exactly.
-  const auto single = e2e.run_datc(recs[0]);
-  EXPECT_EQ(serial[0].rx_side.correlation_pct, single.rx_side.correlation_pct);
-  EXPECT_EQ(serial[0].events_rx, single.events_rx);
 }
 
 TEST(PipelineRunner, SharedAerNoiselessMatchesIdealRadio) {
   // Acceptance gate for the shared-medium mode: with a noiseless channel
   // and zero queue-delay drops, the real radio (modulate -> propagate ->
-  // decode -> demux) must reproduce the arbitration-only ideal reference
-  // exactly, per channel, for >= 8 contending encoders.
+  // decode -> demux) must reproduce arbitration alone (aer_merge then
+  // aer_split, no radio) exactly, per channel, for >= 8 contending
+  // encoders.
   const auto recs = make_channels(8, 2.0);
   runtime::RunnerConfig cfg;
   cfg.jobs = 4;
@@ -163,27 +145,40 @@ TEST(PipelineRunner, SharedAerNoiselessMatchesIdealRadio) {
   runtime::PipelineRunner real_radio(cfg);
   const auto over_air = real_radio.run(recs);
 
-  auto ideal_cfg = cfg;
-  ideal_cfg.shared.ideal_radio = true;
-  runtime::PipelineRunner ideal_radio(ideal_cfg);
-  const auto ideal = ideal_radio.run(recs);
+  std::vector<core::EventStream> tx(recs.size());
+  for (std::size_t c = 0; c < recs.size(); ++c) {
+    core::EventArena arena;
+    core::encode_datc_events(recs[c].emg_v, emg::datc_encoder_config(cfg.eval),
+                             arena);
+    tx[c] = arena.take_stream();
+  }
+  uwb::AerStats arb;
+  uwb::AerStats demux;
+  const auto ideal = uwb::aer_split(uwb::aer_merge(tx, cfg.shared.aer, &arb),
+                                    static_cast<unsigned>(recs.size()),
+                                    &demux);
 
   EXPECT_EQ(over_air.shared.arbiter.dropped, 0u);
+  EXPECT_EQ(over_air.shared.arbiter.sent, arb.sent);
   EXPECT_EQ(over_air.shared.pulses_erased, 0u);
   EXPECT_EQ(over_air.shared.demux.invalid_address, 0u);
   EXPECT_EQ(over_air.shared.events_rx, over_air.shared.arbiter.sent);
+  const auto& eval = real_radio.evaluator();
   ASSERT_EQ(over_air.channels.size(), 8u);
+  ASSERT_EQ(ideal.size(), 8u);
   for (std::size_t c = 0; c < over_air.channels.size(); ++c) {
     const auto& a = over_air.channels[c].rx_events;
-    const auto& b = ideal.channels[c].rx_events;
+    const auto& b = ideal[c];
     ASSERT_EQ(a.size(), b.size()) << c;
     for (std::size_t k = 0; k < a.size(); ++k) {
       EXPECT_EQ(a[k].time_s, b[k].time_s) << c;
       EXPECT_EQ(a[k].vth_code, b[k].vth_code) << c;
       EXPECT_EQ(a[k].channel, b[k].channel) << c;
     }
+    const auto recon =
+        eval.reconstruct_datc(b, recs[c].emg_v.duration_s());
     EXPECT_EQ(over_air.channels[c].rx_correlation_pct,
-              ideal.channels[c].rx_correlation_pct)
+              eval.score(recs[c], {recon}).front())
         << c;
   }
 }
@@ -247,7 +242,7 @@ TEST(PipelineRunner, CachedDetectionMatchesReferenceDecode) {
   // Build a pulse train, run it through both receiver configurations with
   // the same Rng seed; decoded streams must match event-for-event.
   const auto recs = make_channels(1, 2.0);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   core::DatcEncoderConfig enc;
   enc.dtc = eval.dtc;
   const auto tx = core::encode_datc_events(recs[0].emg_v, enc);

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/end_to_end.hpp"
-#include "sim/evaluation.hpp"
+#include "core/atc_encoder.hpp"
+#include "emg/evaluation.hpp"
+#include "runtime/pipeline_runner.hpp"
 #include "sim/table_writer.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace {
 
@@ -16,7 +18,7 @@ using namespace datc;
 class EvaluatorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    eval_ = new sim::Evaluator();
+    eval_ = new emg::Evaluator();
     rec_ = new emg::Recording(emg::showcase_recording());
   }
   static void TearDownTestSuite() {
@@ -25,11 +27,11 @@ class EvaluatorTest : public ::testing::Test {
     eval_ = nullptr;
     rec_ = nullptr;
   }
-  static sim::Evaluator* eval_;
+  static emg::Evaluator* eval_;
   static emg::Recording* rec_;
 };
 
-sim::Evaluator* EvaluatorTest::eval_ = nullptr;
+emg::Evaluator* EvaluatorTest::eval_ = nullptr;
 emg::Recording* EvaluatorTest::rec_ = nullptr;
 
 TEST_F(EvaluatorTest, DatcBeatsAtcOnShowcase) {
@@ -62,44 +64,49 @@ TEST_F(EvaluatorTest, GroundTruthMatchesSignalLength) {
 }
 
 TEST_F(EvaluatorTest, EndToEndLosslessLinkPreservesScore) {
-  sim::LinkConfig link;
-  link.modulator.shape.amplitude_v = 0.5;
-  link.channel.distance_m = 0.3;
-  link.channel.ref_loss_db = 30.0;
-  const sim::EndToEnd e2e(eval_->config(), link);
-  const auto r = e2e.run_datc(*rec_);
+  runtime::RunnerConfig cfg;
+  cfg.eval = eval_->config();
+  cfg.link.modulator.shape.amplitude_v = 0.5;
+  cfg.link.channel.distance_m = 0.3;
+  cfg.link.channel.ref_loss_db = 30.0;
+  const runtime::PipelineRunner runner(cfg);
+  const auto r = runner.run_channel(*rec_, 0);
   EXPECT_EQ(r.pulses_erased, 0u);
-  EXPECT_EQ(r.events_rx, r.tx_side.num_events);
-  EXPECT_NEAR(r.rx_side.correlation_pct, r.tx_side.correlation_pct, 0.5);
+  EXPECT_EQ(r.events_rx, r.events_tx);
+  EXPECT_NEAR(r.rx_correlation_pct, r.tx_correlation_pct, 0.5);
 }
 
 TEST_F(EvaluatorTest, EndToEndErasuresDegradeGracefully) {
-  sim::LinkConfig clean;
-  clean.modulator.shape.amplitude_v = 0.5;
-  clean.channel.distance_m = 0.3;
-  clean.channel.ref_loss_db = 30.0;
-  sim::LinkConfig lossy = clean;
-  lossy.channel.erasure_prob = 0.3;
-  const sim::EndToEnd a(eval_->config(), clean);
-  const sim::EndToEnd b(eval_->config(), lossy);
-  const auto ra = a.run_datc(*rec_);
-  const auto rb = b.run_datc(*rec_);
+  runtime::RunnerConfig clean;
+  clean.eval = eval_->config();
+  clean.link.modulator.shape.amplitude_v = 0.5;
+  clean.link.channel.distance_m = 0.3;
+  clean.link.channel.ref_loss_db = 30.0;
+  runtime::RunnerConfig lossy = clean;
+  lossy.link.channel.erasure_prob = 0.3;
+  const auto ra = runtime::PipelineRunner(clean).run_channel(*rec_, 0);
+  const auto rb = runtime::PipelineRunner(lossy).run_channel(*rec_, 0);
   EXPECT_GT(rb.pulses_erased, 0u);
   EXPECT_LT(rb.events_rx, ra.events_rx);
   // The paper's robustness claim: losing pulses hurts only mildly.
-  EXPECT_GT(rb.rx_side.correlation_pct,
-            ra.rx_side.correlation_pct - 12.0);
+  EXPECT_GT(rb.rx_correlation_pct, ra.rx_correlation_pct - 12.0);
 }
 
 TEST_F(EvaluatorTest, AtcOverUwbAlsoWorks) {
-  sim::LinkConfig link;
+  uwb::LinkConfig link;
   link.modulator.shape.amplitude_v = 0.5;
   link.channel.distance_m = 0.3;
   link.channel.ref_loss_db = 30.0;
-  const sim::EndToEnd e2e(eval_->config(), link);
-  const auto r = e2e.run_atc(*rec_, 0.3);
-  EXPECT_EQ(r.events_rx, r.tx_side.num_events);
-  EXPECT_NEAR(r.rx_side.correlation_pct, r.tx_side.correlation_pct, 0.5);
+  core::AtcEncoderConfig enc;
+  enc.threshold_v = 0.3;
+  const auto tx = core::encode_atc(rec_->emg_v, enc);
+  const auto r = uwb::run_atc_over_link(tx.events, link);
+  const auto recon =
+      eval_->reconstruct_atc(r.events_rx, 0.3, rec_->emg_v.duration_s());
+  const auto tx_side = eval_->atc(*rec_, 0.3);
+  EXPECT_EQ(r.events_rx.size(), tx_side.num_events);
+  EXPECT_NEAR(eval_->score(*rec_, {recon}).front(), tx_side.correlation_pct,
+              0.5);
 }
 
 TEST(TableWriter, AlignedTextAndCsv) {

@@ -50,8 +50,8 @@ emg::Recording test_recording(std::uint64_t seed) {
   return emg::make_recording(spec);
 }
 
-sim::LinkConfig noisy_link(std::uint64_t seed) {
-  sim::LinkConfig link;
+uwb::LinkConfig noisy_link(std::uint64_t seed) {
+  uwb::LinkConfig link;
   link.seed = seed;
   link.channel.distance_m = 0.6;
   link.channel.ref_loss_db = 30.0;
@@ -59,7 +59,7 @@ sim::LinkConfig noisy_link(std::uint64_t seed) {
   return link;
 }
 
-sim::LinkConfig clean_link(std::uint64_t seed) {
+uwb::LinkConfig clean_link(std::uint64_t seed) {
   auto link = noisy_link(seed);
   link.channel.erasure_prob = 0.0;  // batched fill_gaussian jitter path
   return link;
@@ -100,14 +100,12 @@ struct PipelineOutput {
 
 PipelineOutput run_pipeline(const emg::Recording& rec,
                             const emg::EvalConfig& eval,
-                            const sim::LinkConfig& link) {
+                            const uwb::LinkConfig& link) {
   PipelineOutput out;
   core::EventArena arena;
   core::encode_datc_events(rec.emg_v, emg::datc_encoder_config(eval), arena);
   out.tx = arena.take_stream();
-  out.rx = uwb::run_datc_over_link(out.tx, link, eval.dtc.dac_bits,
-                                   /*cache_detection=*/true)
-               .events_rx;
+  out.rx = uwb::run_datc_over_link(out.tx, link, eval.dtc.dac_bits).events_rx;
   core::StreamingDatcReconstructor recon(
       emg::datc_reconstruction_config(eval), test_calibration());
   recon.push_events(std::span<const core::Event>(out.rx.events()));
@@ -140,7 +138,7 @@ TEST_P(SimdBackendMatrixTest, StreamParityAcrossChunkSizesAndLinkModes) {
   BackendGuard guard;
   simd::force_backend(GetParam());
   const auto rec = test_recording(811);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   for (const std::size_t chunk : {std::size_t{0}, std::size_t{64},
                                   std::size_t{257}, std::size_t{1000}}) {
     for (const bool noisy : {true, false}) {
@@ -162,12 +160,12 @@ TEST_P(SimdBackendMatrixTest, StreamParityAcrossChunkSizesAndLinkModes) {
 TEST_P(SimdBackendMatrixTest, SharedAerStreamParity) {
   BackendGuard guard;
   simd::force_backend(GetParam());
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   std::vector<dsp::TimeSeries> chans;
   for (std::uint64_t s : {901, 902, 903}) {
     chans.push_back(test_recording(s).emg_v);
   }
-  const sim::SharedAerConfig shared{};
+  const uwb::SharedAerConfig shared{};
   const auto r = sim::check_shared_stream_parity(
       chans, eval, noisy_link(29), shared, test_calibration(), 512);
   EXPECT_TRUE(r.identical())
@@ -444,7 +442,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SimdCrossBackendTest, PipelineBitIdenticalToScalar) {
   BackendGuard guard;
   const auto rec = test_recording(813);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   const auto link = noisy_link(41);
 
   simd::force_backend(simd::Backend::scalar);

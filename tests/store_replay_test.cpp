@@ -57,8 +57,8 @@ emg::Recording make_channel(std::uint64_t seed, Real duration_s) {
   return emg::make_recording(spec);
 }
 
-sim::LinkConfig noisy_link(std::uint64_t seed) {
-  sim::LinkConfig link;
+uwb::LinkConfig noisy_link(std::uint64_t seed) {
+  uwb::LinkConfig link;
   link.seed = seed;
   link.channel.distance_m = 0.6;
   link.channel.ref_loss_db = 30.0;
@@ -68,7 +68,7 @@ sim::LinkConfig noisy_link(std::uint64_t seed) {
 
 TEST_F(StoreReplayTest, RecordedSessionReplaysBitIdentically) {
   const auto rec = make_channel(601, 3.0);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   const auto link = noisy_link(29);
   auto cfg = sim::make_session_config(eval, link, test_calibration());
   cfg.keep_rx_events = true;
@@ -143,7 +143,7 @@ TEST_F(StoreReplayTest, ReplayRebuildsCalibrationFromManifest) {
   // calibration config matches test parameters except num_samples, so
   // compare two manifest-driven replays for determinism instead.
   const auto rec = make_channel(602, 1.5);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   auto cfg = sim::make_session_config(eval, noisy_link(31),
                                       test_calibration());
   runtime::StreamingSession session(cfg, 0);
@@ -174,7 +174,7 @@ TEST_F(StoreReplayTest, SessionManagerTeesIntoPerSessionDirectories) {
   // each teeing into its own Recorder/directory. Offers come from strand
   // workers; every stored log must hold exactly its session's decoded
   // stream.
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   auto cfg = sim::make_session_config(eval, noisy_link(37),
                                       test_calibration());
   cfg.keep_rx_events = true;

@@ -40,8 +40,8 @@ emg::Recording make_channel(std::uint64_t seed, Real duration_s, Real gain) {
   return emg::make_recording(spec);
 }
 
-sim::LinkConfig noisy_link(std::uint64_t seed) {
-  sim::LinkConfig link;
+uwb::LinkConfig noisy_link(std::uint64_t seed) {
+  uwb::LinkConfig link;
   link.seed = seed;
   // Body-area distance above the detector floor, with real impairments:
   // erasures and timing jitter exercise the carried-Rng and reorder paths.
@@ -57,7 +57,7 @@ class StreamChunkParityTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(StreamChunkParityTest, PerChannelStreamingMatchesBatchExactly) {
   const auto rec = make_channel(301, 3.0, 0.4);
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   const auto r = sim::check_stream_parity(rec.emg_v, eval, noisy_link(17),
                                           test_calibration(), GetParam(),
                                           /*channel_id=*/3);
@@ -83,8 +83,8 @@ TEST_P(SharedStreamParityTest, SharedAerStreamingMatchesBatchExactly) {
     chans.push_back(
         make_channel(400 + c, 2.0, 0.25 + 0.1 * static_cast<Real>(c)).emg_v);
   }
-  const sim::EvalConfig eval;
-  sim::SharedAerConfig shared;
+  const emg::EvalConfig eval;
+  uwb::SharedAerConfig shared;
   shared.aer.address_bits = 2;
   shared.aer.min_spacing_s = 2e-6;
   const auto r = sim::check_shared_stream_parity(chans, eval, noisy_link(29),
@@ -104,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(ChunkSizes, SharedStreamParityTest,
 // --------------------------------------------------------- session manager
 
 TEST(SessionManager, MultiplexedSessionsMatchDirectExecution) {
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   const auto link = noisy_link(51);
   auto cfg = sim::make_session_config(eval, link, test_calibration());
   cfg.keep_rx_events = true;
@@ -175,7 +175,7 @@ TEST(SessionManager, MultiplexedSessionsMatchDirectExecution) {
 }
 
 TEST(SessionManager, ReportsDeltasAndPropagatesErrors) {
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   auto cfg = sim::make_session_config(eval, noisy_link(5), test_calibration());
   runtime::SessionManager manager({.jobs = 2, .max_pending_chunks = 1});
   auto owned = std::make_unique<runtime::StreamingSession>(cfg, 0);
@@ -208,7 +208,7 @@ TEST(SessionManager, InterleavedDeltaPollsSumToCumulativeTotals) {
   // the totals across consumers), one keeping its own snapshot via
   // session_report_delta. Both accountings must land exactly on the
   // cumulative report.
-  const sim::EvalConfig eval;
+  const emg::EvalConfig eval;
   auto cfg = sim::make_session_config(eval, noisy_link(77),
                                       test_calibration());
   runtime::StreamingSession session(cfg, 0);

@@ -6,7 +6,7 @@
 #include "dsp/xcorr.hpp"
 #include "emg/dataset.hpp"
 #include "rtl/dtc_rtl.hpp"
-#include "sim/evaluation.hpp"
+#include "emg/evaluation.hpp"
 #include "synth/timing.hpp"
 
 namespace {
@@ -96,7 +96,7 @@ TEST(Xcorr, ReconstructionIsZeroLag) {
   spec.gain_v = 0.35;
   spec.duration_s = 8.0;
   const auto rec = emg::make_recording(spec);
-  const sim::Evaluator eval;
+  const emg::Evaluator eval;
   const auto tx = core::encode_datc(rec.emg_v, core::DatcEncoderConfig{});
   const auto recon = eval.reconstruct_datc(tx.events, rec.emg_v.duration_s());
   const auto truth = eval.ground_truth(rec);
