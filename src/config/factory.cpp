@@ -38,9 +38,6 @@ emg::EvalConfig PipelineFactory::eval_config() const {
   eval.analog_fs_hz = spec_.source.sample_rate_hz;
   eval.band_lo_hz = spec_.encoder.band_lo_hz;
   eval.band_hi_hz = spec_.encoder.band_hi_hz;
-  eval.datc_mode = spec_.recon.mode == ReconMode::kCodeDuty
-                       ? core::DatcDecodeMode::kCodeDuty
-                       : core::DatcDecodeMode::kRateInversion;
   return eval;
 }
 
@@ -89,13 +86,6 @@ core::CalibrationPtr PipelineFactory::calibration() const {
 }
 
 runtime::SessionConfig PipelineFactory::session_config() const {
-  // Streaming reconstruction implements the rate-inversion decoder only;
-  // refuse rather than silently decode differently from the batch path.
-  if (spec_.recon.mode != ReconMode::kRateInversion) {
-    throw ScenarioError(
-        "scenario '" + spec_.name +
-        "': streaming sessions support recon.mode = rate-inversion only");
-  }
   auto cfg = sim::make_session_config(eval_config(), link_config(),
                                       calibration());
   cfg.health = health_config();

@@ -99,17 +99,6 @@ LinkTopology parse_topology(const std::string& s) {
   throw ScenarioError("unknown topology '" + s + "' (private|shared)");
 }
 
-const char* recon_mode_name(ReconMode m) {
-  return m == ReconMode::kCodeDuty ? "code-duty" : "rate-inversion";
-}
-
-ReconMode parse_recon_mode(const std::string& s) {
-  if (s == "rate-inversion") return ReconMode::kRateInversion;
-  if (s == "code-duty") return ReconMode::kCodeDuty;
-  throw ScenarioError("unknown recon mode '" + s +
-                      "' (rate-inversion|code-duty)");
-}
-
 core::FrameSize parse_frame(const std::string& s) {
   const auto v = parse_u64(s);
   for (const auto f : core::kAllFrameSizes) {
@@ -303,16 +292,6 @@ std::vector<ScenarioKey> build_registry() {
   keys.push_back(DATC_UINT_KEY(
       "session.channel", session.channel, std::uint32_t, 0xFFFFFFFFull,
       "channel id (AER address) of a single streamed session"));
-
-  // ---- recon
-  keys.push_back(ScenarioKey{
-      "recon.mode", "D-ATC decode: rate-inversion | code-duty",
-      [](const ScenarioSpec& s) {
-        return std::string(recon_mode_name(s.recon.mode));
-      },
-      [](ScenarioSpec& s, const std::string& v) {
-        s.recon.mode = parse_recon_mode(v);
-      }});
 
   // ---- serve (ingest daemon; shapes the server, never the pipeline)
   keys.push_back(DATC_UINT_KEY(

@@ -34,9 +34,6 @@ enum class SourceModel {
 /// Link topology: a private radio per channel, or one arbitrated medium.
 enum class LinkTopology { kPrivate, kSharedAer };
 
-/// How the receiver inverts D-ATC events into a force estimate.
-enum class ReconMode { kRateInversion, kCodeDuty };
-
 /// The one declarative description of a pipeline run. Field defaults ARE
 /// the project defaults — the CLI, benches and presets start from
 /// ScenarioSpec{} and override, never restate.
@@ -102,10 +99,6 @@ struct ScenarioSpec {
     std::size_t jobs{0};             ///< worker threads; 0 = hardware
     std::uint32_t channel{0};        ///< id of a single streamed session
   } session;
-
-  struct Recon {
-    ReconMode mode{ReconMode::kRateInversion};
-  } recon;
 
   /// Ingest-daemon parameters (`datc serve`): the TCP listener and the
   /// sharded session fan-out. Sessions accepted by the daemon are built

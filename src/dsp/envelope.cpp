@@ -15,13 +15,6 @@ std::vector<Real> rectify(std::span<const Real> x) {
   return y;
 }
 
-std::vector<Real> rectify_half(std::span<const Real> x) {
-  std::vector<Real> y(x.size());
-  std::transform(x.begin(), x.end(), y.begin(),
-                 [](Real v) { return v > 0.0 ? v : 0.0; });
-  return y;
-}
-
 std::size_t window_samples(Real fs_hz, Real window_s) {
   require(fs_hz > 0.0 && window_s > 0.0,
           "window_samples: fs and window must be positive");
@@ -34,17 +27,6 @@ std::size_t window_samples(Real fs_hz, Real window_s) {
 std::vector<Real> arv_envelope(std::span<const Real> x, Real fs_hz,
                                Real window_s) {
   return centered_moving_average_abs(x, window_samples(fs_hz, window_s));
-}
-
-std::vector<Real> rms_envelope(std::span<const Real> x, Real fs_hz,
-                               Real window_s) {
-  std::vector<Real> sq(x.size());
-  std::transform(x.begin(), x.end(), sq.begin(),
-                 [](Real v) { return v * v; });
-  auto mean_sq =
-      centered_moving_average(sq, window_samples(fs_hz, window_s));
-  for (auto& v : mean_sq) v = std::sqrt(v);
-  return mean_sq;
 }
 
 }  // namespace datc::dsp

@@ -13,16 +13,9 @@ namespace datc::dsp {
 /// Full-wave rectification |x|.
 [[nodiscard]] std::vector<Real> rectify(std::span<const Real> x);
 
-/// Half-wave rectification max(x, 0).
-[[nodiscard]] std::vector<Real> rectify_half(std::span<const Real> x);
-
 /// ARV envelope: centred moving average of |x| over `window_s` seconds.
 /// Zero-lag so that correlations are not degraded by group delay.
 [[nodiscard]] std::vector<Real> arv_envelope(std::span<const Real> x,
-                                             Real fs_hz, Real window_s);
-
-/// RMS envelope over a centred window of `window_s` seconds.
-[[nodiscard]] std::vector<Real> rms_envelope(std::span<const Real> x,
                                              Real fs_hz, Real window_s);
 
 /// Converts a window duration to an odd sample count >= 1.

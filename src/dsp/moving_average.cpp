@@ -84,25 +84,4 @@ void MovingAverager::reset() {
   sum_ = 0.0;
 }
 
-std::vector<Real> median_filter(std::span<const Real> x, std::size_t window) {
-  require(window >= 1 && window % 2 == 1,
-          "median_filter: window must be odd and >= 1");
-  std::vector<Real> y(x.size());
-  if (x.empty()) return y;
-  const std::size_t h = window / 2;
-  std::vector<Real> scratch;
-  scratch.reserve(window);
-  for (std::size_t n = 0; n < x.size(); ++n) {
-    const std::size_t lo = n >= h ? n - h : 0;
-    const std::size_t hi = std::min(n + h, x.size() - 1);
-    scratch.assign(x.begin() + static_cast<std::ptrdiff_t>(lo),
-                   x.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-    const auto mid = scratch.begin() +
-                     static_cast<std::ptrdiff_t>(scratch.size() / 2);
-    std::nth_element(scratch.begin(), mid, scratch.end());
-    y[n] = *mid;
-  }
-  return y;
-}
-
 }  // namespace datc::dsp

@@ -1,6 +1,6 @@
 #pragma once
 // Sliding-window smoothers: moving average (the receiver's "low-complexity
-// windowing", ref [9]/[10]) and a median filter for artifact suppression.
+// windowing", ref [9]/[10]).
 
 #include <span>
 #include <vector>
@@ -43,11 +43,5 @@ class MovingAverager {
   std::size_t filled_{0};
   Real sum_{0.0};
 };
-
-/// Centred median filter with odd window; boundaries use the available
-/// neighbourhood. Robust against the spike artifacts injected by
-/// emg::ArtifactInjector.
-[[nodiscard]] std::vector<Real> median_filter(std::span<const Real> x,
-                                              std::size_t window);
 
 }  // namespace datc::dsp

@@ -147,23 +147,6 @@ Real correlation_percent(std::span<const Real> a, std::span<const Real> b) {
   return 100.0 * pearson(a, b);
 }
 
-Real rmse(std::span<const Real> a, std::span<const Real> b) {
-  require(a.size() == b.size(), "rmse: size mismatch");
-  require(!a.empty(), "rmse: empty input");
-  Real acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Real d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<Real>(a.size()));
-}
-
-Real nrmse(std::span<const Real> a, std::span<const Real> b) {
-  const Real range = max_value(a) - min_value(a);
-  require(range > 0.0, "nrmse: reference signal is constant");
-  return rmse(a, b) / range;
-}
-
 Real normal_q(Real x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
 
 Real normal_q_inv(Real p) {

@@ -50,12 +50,6 @@ void pearson_many(std::span<const Real> a,
 [[nodiscard]] Real correlation_percent(std::span<const Real> a,
                                        std::span<const Real> b);
 
-/// Root-mean-square error between equal-length spans.
-[[nodiscard]] Real rmse(std::span<const Real> a, std::span<const Real> b);
-
-/// Normalised RMSE: rmse / (max(a) - min(a)); throws if a is constant.
-[[nodiscard]] Real nrmse(std::span<const Real> a, std::span<const Real> b);
-
 /// Upper-tail probability Q(x) of the standard normal.
 [[nodiscard]] Real normal_q(Real x);
 

@@ -45,13 +45,6 @@ Recording DatasetFactory::make(std::size_t index) const {
   return make_recording(specs_[index]);
 }
 
-std::vector<Recording> DatasetFactory::make_all() const {
-  std::vector<Recording> out;
-  out.reserve(specs_.size());
-  for (const auto& s : specs_) out.push_back(make_recording(s));
-  return out;
-}
-
 Recording make_recording(const RecordingSpec& spec) {
   dsp::Rng rng(spec.seed);
   Recording rec;

@@ -64,9 +64,6 @@ class DatasetFactory {
   /// Synthesises pattern `index`.
   [[nodiscard]] Recording make(std::size_t index) const;
 
-  /// Synthesises every pattern (the Fig. 5 sweep).
-  [[nodiscard]] std::vector<Recording> make_all() const;
-
   [[nodiscard]] const DatasetConfig& config() const { return config_; }
 
  private:

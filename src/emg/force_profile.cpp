@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "dsp/biquad.hpp"
 #include "dsp/filter_design.hpp"
@@ -51,40 +50,6 @@ ForceProfile trapezoid_force(Real level, Real ramp_s, Real hold_s, Real rest_s,
                 (1.0 - static_cast<Real>(i) / static_cast<Real>(n_ramp)));
   }
   f.insert(f.end(), n_rest, 0.0);
-  return p;
-}
-
-ForceProfile staircase_force(Real start_level, std::size_t num_steps,
-                             Real step_duration_s, Real fs_hz) {
-  check_level(start_level);
-  dsp::require(num_steps >= 1, "staircase_force: need at least one step");
-  ForceProfile p;
-  p.sample_rate_hz = fs_hz;
-  const auto n_step = count_samples(step_duration_s, fs_hz);
-  for (std::size_t s = 0; s < num_steps; ++s) {
-    const Real level = start_level *
-                       (1.0 - static_cast<Real>(s) /
-                                  static_cast<Real>(num_steps - 1 == 0
-                                                        ? 1
-                                                        : num_steps - 1));
-    p.fraction_mvc.insert(p.fraction_mvc.end(), n_step,
-                          std::max(level, 0.0));
-  }
-  return p;
-}
-
-ForceProfile sinusoid_force(Real offset, Real amp, Real freq_hz,
-                            Real duration_s, Real fs_hz) {
-  const auto n = count_samples(duration_s, fs_hz);
-  ForceProfile p;
-  p.sample_rate_hz = fs_hz;
-  p.fraction_mvc.resize(n);
-  constexpr Real kTwoPi = 2.0 * std::numbers::pi_v<Real>;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Real t = static_cast<Real>(i) / fs_hz;
-    p.fraction_mvc[i] =
-        std::clamp(offset + amp * std::sin(kTwoPi * freq_hz * t), 0.0, 1.0);
-  }
   return p;
 }
 

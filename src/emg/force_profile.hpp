@@ -32,16 +32,6 @@ struct ForceProfile {
                                            Real hold_s, Real rest_s,
                                            Real fs_hz);
 
-/// Descending staircase from `start_level` to 0 in `num_steps` plateaus —
-/// the paper's 70 % -> 0 % MVC grip protocol.
-[[nodiscard]] ForceProfile staircase_force(Real start_level,
-                                           std::size_t num_steps,
-                                           Real step_duration_s, Real fs_hz);
-
-/// Sinusoidal modulation: offset + amp * sin(2*pi*f*t), clamped to [0, 1].
-[[nodiscard]] ForceProfile sinusoid_force(Real offset, Real amp, Real freq_hz,
-                                          Real duration_s, Real fs_hz);
-
 /// Randomised grip-session protocol: a sequence of plateaus whose levels
 /// descend (with jitter) from about `start_level` to 0, separated by short
 /// transitions, then low-pass smoothed so the drive is physiological.

@@ -1,78 +1,15 @@
-// Analog-front-end behavioural models: amplifier, comparator, DAC/ADC,
-// synchroniser.
+// Analog-front-end behavioural models: comparator and DAC/ADC.
 
-#include <cmath>
 #include <gtest/gtest.h>
 
-#include "afe/amplifier.hpp"
 #include "afe/comparator.hpp"
 #include "afe/dac.hpp"
-#include "afe/synchronizer.hpp"
-#include "dsp/stats.hpp"
+#include "dsp/rng.hpp"
 
 namespace {
 
 using datc::dsp::Real;
 using namespace datc;
-
-TEST(Amplifier, LinearGainInSmallSignal) {
-  afe::AmplifierConfig cfg;
-  cfg.gain = 100.0;
-  cfg.supply_v = 200.0;  // effectively no saturation
-  cfg.soft_clip = false;
-  afe::Amplifier amp(cfg, dsp::Rng(1));
-  EXPECT_NEAR(amp.process(0.01), 1.0, 1e-12);
-  EXPECT_NEAR(amp.process(-0.02), -2.0, 1e-12);
-}
-
-TEST(Amplifier, HardClipAtRails) {
-  afe::AmplifierConfig cfg;
-  cfg.gain = 10.0;
-  cfg.supply_v = 2.0;
-  cfg.soft_clip = false;
-  afe::Amplifier amp(cfg, dsp::Rng(1));
-  EXPECT_DOUBLE_EQ(amp.process(1.0), 1.0);    // clipped to supply/2
-  EXPECT_DOUBLE_EQ(amp.process(-1.0), -1.0);
-}
-
-TEST(Amplifier, SoftClipIsBoundedAndMonotone) {
-  afe::AmplifierConfig cfg;
-  cfg.gain = 10.0;
-  cfg.supply_v = 2.0;
-  cfg.soft_clip = true;
-  afe::Amplifier amp(cfg, dsp::Rng(1));
-  Real prev = -10.0;
-  for (Real x = -1.0; x <= 1.0; x += 0.05) {
-    const Real y = amp.process(x);
-    EXPECT_LE(std::abs(y), 1.0 + 1e-9);
-    EXPECT_GE(y, prev - 1e-12);
-    prev = y;
-  }
-}
-
-TEST(Amplifier, NoiseHasConfiguredRms) {
-  afe::AmplifierConfig cfg;
-  cfg.gain = 1.0;
-  cfg.supply_v = 100.0;
-  cfg.input_noise_rms = 0.1;
-  afe::Amplifier amp(cfg, dsp::Rng(3));
-  std::vector<Real> out(20000);
-  for (auto& v : out) v = amp.process(0.0);
-  EXPECT_NEAR(dsp::rms(out), 0.1, 0.005);
-}
-
-TEST(Amplifier, AmplifyWholeRecord) {
-  afe::AmplifierConfig cfg;
-  cfg.gain = 2.0;
-  cfg.supply_v = 100.0;
-  cfg.soft_clip = false;
-  afe::Amplifier amp(cfg, dsp::Rng(1));
-  dsp::TimeSeries in({0.1, -0.2, 0.3}, 10.0);
-  const auto out = amp.amplify(in);
-  EXPECT_DOUBLE_EQ(out[0], 0.2);
-  EXPECT_DOUBLE_EQ(out[1], -0.4);
-  EXPECT_DOUBLE_EQ(out.sample_rate_hz(), 10.0);
-}
 
 TEST(Comparator, BasicDecision) {
   afe::Comparator cmp;
@@ -165,34 +102,6 @@ TEST(Adc, ClampsOutOfRange) {
   const afe::Adc adc;
   EXPECT_EQ(adc.code(-5.0), 0u);
   EXPECT_EQ(adc.code(5.0), 4095u);
-}
-
-TEST(Synchronizer, TwoStageDelay) {
-  afe::Synchronizer sync;  // 2 stages
-  // Output reflects the input two clock edges later.
-  EXPECT_FALSE(sync.clock(true));   // t0: captures 1
-  EXPECT_FALSE(sync.clock(true));   // t1: stage2 still old
-  EXPECT_TRUE(sync.clock(true));    // t2: the t0 value emerges
-}
-
-TEST(Synchronizer, MetastabilityStallsOneCycle) {
-  afe::SynchronizerConfig cfg;
-  cfg.stages = 1;
-  cfg.metastable_prob = 1.0;  // always stall on a change
-  afe::Synchronizer sync(cfg, dsp::Rng(2));
-  (void)sync.clock(true);  // change is swallowed (stays 0)
-  // The stage kept its old value, so even next cycle reads 0 until the
-  // input persists.
-  EXPECT_FALSE(sync.clock(true));
-}
-
-TEST(Synchronizer, Validation) {
-  afe::SynchronizerConfig cfg;
-  cfg.stages = 0;
-  EXPECT_THROW(afe::Synchronizer s(cfg), std::invalid_argument);
-  cfg = afe::SynchronizerConfig{};
-  cfg.metastable_prob = 0.5;
-  EXPECT_THROW(afe::Synchronizer s(cfg), std::invalid_argument);  // no rng
 }
 
 }  // namespace

@@ -348,14 +348,5 @@ TEST(FactoryParityTest, RecordReplayThroughFactoryIsBitIdentical) {
   fs::remove_all(dir);
 }
 
-TEST(FactoryParityTest, StreamingRejectsCodeDutyMode) {
-  auto spec = identity_spec();
-  config::set_scenario_key(spec, "recon.mode", "code-duty");
-  const config::PipelineFactory factory(spec);
-  EXPECT_THROW((void)factory.session_config(), config::ScenarioError);
-  // The batch paths accept it.
-  EXPECT_EQ(factory.eval_config().datc_mode, core::DatcDecodeMode::kCodeDuty);
-}
-
 }  // namespace
 }  // namespace datc

@@ -85,15 +85,6 @@ TEST(Stats, CorrelationPercentScales) {
   EXPECT_NEAR(dsp::correlation_percent(a, b), 100.0, 1e-9);
 }
 
-TEST(Stats, RmseAndNrmse) {
-  const std::vector<Real> a{0.0, 1.0, 2.0};
-  const std::vector<Real> b{0.0, 1.0, 4.0};
-  EXPECT_NEAR(dsp::rmse(a, b), std::sqrt(4.0 / 3.0), 1e-12);
-  EXPECT_NEAR(dsp::nrmse(a, b), std::sqrt(4.0 / 3.0) / 2.0, 1e-12);
-  const std::vector<Real> flat{1.0, 1.0, 1.0};
-  EXPECT_THROW((void)dsp::nrmse(flat, a), std::invalid_argument);
-}
-
 TEST(Stats, NormalQKnownValues) {
   EXPECT_NEAR(dsp::normal_q(0.0), 0.5, 1e-12);
   EXPECT_NEAR(dsp::normal_q(1.6448536269514722), 0.05, 1e-9);

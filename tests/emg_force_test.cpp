@@ -35,28 +35,6 @@ TEST(ForceProfile, TrapezoidShape) {
   }
 }
 
-TEST(ForceProfile, StaircaseDescendsToZero) {
-  const auto p = emg::staircase_force(0.7, 5, 1.0, 100.0);
-  const auto& f = p.fraction_mvc;
-  EXPECT_EQ(f.size(), 500u);
-  EXPECT_NEAR(f.front(), 0.7, 1e-12);
-  EXPECT_NEAR(f.back(), 0.0, 1e-12);
-  // Non-increasing plateau levels.
-  for (std::size_t s = 1; s < 5; ++s) {
-    EXPECT_LE(f[s * 100], f[(s - 1) * 100] + 1e-12);
-  }
-}
-
-TEST(ForceProfile, SinusoidClamped) {
-  const auto p = emg::sinusoid_force(0.2, 0.5, 1.0, 3.0, 500.0);
-  for (const Real v : p.fraction_mvc) {
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-  }
-  // Should actually reach the clamp region (offset+amp > max).
-  EXPECT_NEAR(dsp::max_value(p.fraction_mvc), 0.7, 0.01);
-}
-
 TEST(GripProtocol, ExactDurationAndBounds) {
   dsp::Rng rng(101);
   const auto p = emg::grip_protocol(rng, 0.7, 20.0, 2500.0);

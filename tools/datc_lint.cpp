@@ -28,10 +28,12 @@
 //                   (core/datc_block.hpp, uwb/receiver.cpp,
 //                   core/streaming_reconstruct.*) must not allocate.
 //
-// Include-graph rules (tools/lint/include_graph.cpp) — one graph, four
+// Include-graph rules (tools/lint/include_graph.cpp) — one graph, five
 // rule families: include-cycle, layer-order (the src/ layer DAG),
-// include-unused and include-transitive (IWYU-lite). The same graph
-// emits docs/include_graph.dot, drift-checked in CI.
+// include-unused and include-transitive (IWYU-lite), and
+// test-only-module (every header reachable from the CLI, a bench, an
+// example or perfbench, not only from tests). The same graph emits
+// docs/include_graph.dot, drift-checked in CI.
 //
 // Escape hatches: `datc-lint: allow(<rule>)` in a comment on/above the
 // offending line (use with a written reason), and `datc-lint:
@@ -248,6 +250,10 @@ int run_lint(const Options& opt) {
     for (const auto& root : opt.roots) {
       const IncludeGraph graph = IncludeGraph::build(root);
       if (opt.graph) {
+        if (!graph.has_consumers(spec)) {
+          std::cerr << "datc_lint: no consumer directory beside " << root
+                    << "; test-only-module not checked\n";
+        }
         const auto graph_findings = graph.check(spec);
         findings.insert(findings.end(), graph_findings.begin(),
                         graph_findings.end());
@@ -306,7 +312,10 @@ int run_lint(const Options& opt) {
 /// Graph fixtures live in FIXTURE_DIR/graph/<case>/: a mini source tree
 /// plus an EXPECT file of `rule|relpath|line|message-substring` lines
 /// (or the single word `none`). The include-graph pass must reproduce
-/// exactly those diagnostics.
+/// exactly those diagnostics. A case holding a src/ directory is linted
+/// with src/ as the root, so its tools/, bench/, ... and tests/ sit
+/// beside the root as in the repository (test-only-module); relpaths
+/// stay relative to the case.
 ///
 /// Coverage accounting: every file-scope rule needs >= 1 passing
 /// violating fixture AND >= 1 clean fixture claiming it; every graph
@@ -461,7 +470,10 @@ int run_self_test(const std::string& dir) {
         expected.push_back(std::move(e));
       }
     }
-    const IncludeGraph graph = IncludeGraph::build(case_dir.string());
+    const fs::path case_root = fs::is_directory(case_dir / "src")
+                                   ? case_dir / "src"
+                                   : case_dir;
+    const IncludeGraph graph = IncludeGraph::build(case_root.string());
     const auto findings = graph.check(spec);
     bool ok = true;
     std::string why;
@@ -526,10 +538,13 @@ int run_self_test(const std::string& dir) {
       ++failures;
     }
   }
+  const auto& file_rules = datc_lint::file_rules();
   for (const auto& r : datc_lint::all_rules()) {
     const bool graph_rule =
-        std::string(r.name).rfind("include-", 0) == 0 ||
-        std::string(r.name) == "layer-order";
+        std::none_of(file_rules.begin(), file_rules.end(),
+                     [&r](const auto& f) {
+                       return std::string(f.name) == r.name;
+                     });
     if (graph_rule && graph_covered.count(r.name) == 0) {
       std::cerr << "FAIL: graph rule '" << r.name
                 << "' has no graph fixture case expecting it\n";

@@ -161,6 +161,13 @@ std::set<std::string> extract_decls(const std::vector<Token>& ts) {
   return out;
 }
 
+/// The directory holding `root`, where the consumer directories live.
+fs::path beside_root(const std::string& root) {
+  fs::path p = fs::absolute(root).lexically_normal();
+  if (!p.has_filename()) p = p.parent_path();  // "src/" -> "src"
+  return p.parent_path();
+}
+
 std::string join(const std::vector<std::string>& parts, const char* sep) {
   std::string out;
   for (const auto& p : parts) {
@@ -206,7 +213,8 @@ std::vector<std::string> LayerSpec::spec_errors() const {
 
 LayerSpec datc_layer_spec() {
   // Keep in sync with the table in README.md "Correctness tooling".
-  return LayerSpec{{
+  LayerSpec spec;
+  spec.layers = {
       {"dsp", 0, {}},
       {"afe", 1, {"dsp"}},
       {"fault", 1, {"dsp"}},
@@ -224,7 +232,13 @@ LayerSpec datc_layer_spec() {
        {"dsp", "afe", "core", "emg", "uwb", "fault", "store", "runtime",
         "sim"}},
       {"net", 8, {"dsp", "core", "store", "runtime", "config"}},
-  }};
+  };
+  // The CLI, the benches, the examples and perfbench link the library;
+  // tests/ does not count. The lint fixtures quote-include paths that
+  // would resolve against src/, so they are no consumer either.
+  spec.consumers = {"tools", "bench", "examples", "perfbench"};
+  spec.non_consumers = {"tools/lint_fixtures"};
+  return spec;
 }
 
 // --------------------------------------------------------- IncludeGraph
@@ -243,7 +257,7 @@ IncludeGraph IncludeGraph::build(const std::string& root) {
   }
   std::sort(rels.begin(), rels.end());
 
-  std::map<std::string, std::size_t> index;
+  std::map<std::string, std::size_t>& index = g.index_;
   for (std::size_t i = 0; i < rels.size(); ++i) index[rels[i]] = i;
 
   for (const std::string& rel : rels) {
@@ -449,11 +463,78 @@ void IncludeGraph::check_iwyu(const LayerSpec& spec,
   }
 }
 
+bool IncludeGraph::has_consumers(const LayerSpec& spec) const {
+  const fs::path base = beside_root(root_);
+  return std::any_of(spec.consumers.begin(), spec.consumers.end(),
+                     [&](const std::string& dir) {
+                       return fs::is_directory(base / dir);
+                     });
+}
+
+void IncludeGraph::check_test_only(const LayerSpec& spec,
+                                   std::vector<Finding>& out) const {
+  if (!has_consumers(spec)) return;
+  // Seeds: every root file a consumer quote-includes by root path.
+  const fs::path base = beside_root(root_);
+  std::vector<std::size_t> work;
+  for (const std::string& dir : spec.consumers) {
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(base / dir, ec), end;
+         it != end; it.increment(ec)) {
+      if (ec) break;
+      const std::string rel =
+          fs::relative(it->path(), base).generic_string();
+      const bool excluded = std::any_of(
+          spec.non_consumers.begin(), spec.non_consumers.end(),
+          [&](const std::string& skip) {
+            return rel == skip || rel.rfind(skip + "/", 0) == 0;
+          });
+      if (excluded) {
+        if (it->is_directory()) it.disable_recursion_pending();
+        continue;
+      }
+      if (!it->is_regular_file() || !lintable(it->path())) continue;
+      std::ifstream in(it->path(), std::ios::binary);
+      std::stringstream ss;
+      ss << in.rdbuf();
+      for (const IncludeDirective& inc : lex(ss.str()).includes) {
+        const auto hit = index_.find(inc.path);
+        if (!inc.angled && hit != index_.end()) work.push_back(hit->second);
+      }
+    }
+  }
+  // Walk the includes; a reached header also pulls in its same-stem
+  // .cpp, because that translation unit is linked in with it.
+  std::vector<bool> reached(files_.size(), false);
+  while (!work.empty()) {
+    const std::size_t n = work.back();
+    work.pop_back();
+    if (reached[n]) continue;
+    reached[n] = true;
+    const GraphFile& f = files_[n];
+    work.insert(work.end(), f.direct.begin(), f.direct.end());
+    if (f.header) {
+      const auto unit = index_.find(stem_of(f.rel) + ".cpp");
+      if (unit != index_.end()) work.push_back(unit->second);
+    }
+  }
+  for (std::size_t i = 0; i < files_.size(); ++i) {
+    if (!files_[i].header || reached[i]) continue;
+    out.push_back({display(i), 1, "test-only-module",
+                   "module \"" + files_[i].rel +
+                       "\" is reached from no consumer (" +
+                       join(spec.consumers, "/, ") +
+                       "/), directly or through a linked .cpp — wire it "
+                       "into the chain or delete it with its tests"});
+  }
+}
+
 std::vector<Finding> IncludeGraph::check(const LayerSpec& spec) const {
   std::vector<Finding> raw;
   check_cycles(raw);
   check_layers(spec, raw);
   check_iwyu(spec, raw);
+  check_test_only(spec, raw);
   // Allow-marker filtering uses the per-file marker maps gathered at
   // build time, keyed by the finding's root-relative display path.
   std::map<std::string, const GraphFile*> by_display;

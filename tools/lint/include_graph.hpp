@@ -2,7 +2,7 @@
 // Include-graph pass: builds the real #include graph over a source tree
 // and checks it against the repo's intended layer DAG.
 //
-// Four rule families come out of one graph:
+// Five rule families come out of one graph:
 //
 //   include-cycle       any cycle in the file-level include graph
 //   layer-order         a cross-directory include not in the allowed
@@ -11,6 +11,8 @@
 //                       are referenced by the including file
 //   include-transitive  a symbol used whose (unique) declaring header is
 //                       only reachable transitively — include it directly
+//   test-only-module    a header no consumer (CLI, bench, example,
+//                       perfbench) reaches: library code only tests use
 //
 // The same graph is emitted as DOT (directory-level condensation with
 // rank clusters), committed as docs/include_graph.dot and drift-checked
@@ -45,6 +47,13 @@ struct Layer {
 
 struct LayerSpec {
   std::vector<Layer> layers;
+  /// Directories beside the linted root whose files are the library's
+  /// real users. Every header under the root must be reachable from one
+  /// of them (test-only-module); tests/ is deliberately not a consumer.
+  std::vector<std::string> consumers;
+  /// Subtrees of the consumer directories that are not consumers, as
+  /// paths relative to the directory holding the root.
+  std::vector<std::string> non_consumers;
 
   [[nodiscard]] const Layer* find(const std::string& dir) const;
   /// Table self-check: unknown deps, non-decreasing ranks. Empty == OK.
@@ -78,6 +87,10 @@ class IncludeGraph {
   /// paths prefixed with the build root.
   [[nodiscard]] std::vector<Finding> check(const LayerSpec& spec) const;
 
+  /// True when at least one of `spec.consumers` exists beside the root;
+  /// without one, test-only-module has nothing to judge and is skipped.
+  [[nodiscard]] bool has_consumers(const LayerSpec& spec) const;
+
   /// Directory-level condensation as deterministic DOT.
   [[nodiscard]] std::string to_dot(const LayerSpec& spec) const;
 
@@ -86,11 +99,14 @@ class IncludeGraph {
  private:
   std::string root_;
   std::vector<GraphFile> files_;
+  std::map<std::string, std::size_t> index_;  ///< rel path -> files_ index
 
   [[nodiscard]] std::string display(std::size_t idx) const;
   void check_cycles(std::vector<Finding>& out) const;
   void check_layers(const LayerSpec& spec, std::vector<Finding>& out) const;
   void check_iwyu(const LayerSpec& spec, std::vector<Finding>& out) const;
+  void check_test_only(const LayerSpec& spec,
+                       std::vector<Finding>& out) const;
 };
 
 }  // namespace datc_lint

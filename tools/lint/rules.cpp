@@ -51,6 +51,9 @@ const std::vector<RuleInfo>& graph_rules_impl() {
       {"include-transitive",
        "a symbol's declaring header must be included directly, not "
        "reached through another header's includes (IWYU-lite)"},
+      {"test-only-module",
+       "every src/ header must be reachable from a consumer (tools/, "
+       "bench/, examples/, perfbench/), not only from tests/"},
   };
   return kRules;
 }
