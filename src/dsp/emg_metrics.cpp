@@ -67,13 +67,4 @@ Real goertzel_power(std::span<const Real> x, Real fs_hz, Real f_hz) {
   return power;  // ~A^2 for a tone of amplitude A at f_hz
 }
 
-Real tone_power_fraction(std::span<const Real> x, Real fs_hz, Real f_hz) {
-  Real total = 0.0;
-  for (const Real v : x) total += v * v;
-  if (total <= 0.0) return 0.0;
-  const Real tone = goertzel_power(x, fs_hz, f_hz) *
-                    static_cast<Real>(x.size()) / 2.0;
-  return std::min(tone / total, Real{1.0});
-}
-
 }  // namespace datc::dsp

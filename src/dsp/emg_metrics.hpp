@@ -27,9 +27,4 @@ namespace datc::dsp {
 [[nodiscard]] Real goertzel_power(std::span<const Real> x, Real fs_hz,
                                   Real f_hz);
 
-/// Ratio of power at f_hz (via Goertzel, one bin) to total power — the
-/// powerline-contamination figure used by the artifact benches.
-[[nodiscard]] Real tone_power_fraction(std::span<const Real> x, Real fs_hz,
-                                       Real f_hz);
-
 }  // namespace datc::dsp

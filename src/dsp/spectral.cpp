@@ -95,15 +95,4 @@ Real psd_to_dbm_per_mhz(Real psd_v2_hz, Real ohms) {
   return 10.0 * std::log10(mw_per_mhz);
 }
 
-Real peak_dbm_per_mhz(const PsdEstimate& psd, Real f_lo_hz, Real f_hi_hz,
-                      Real ohms) {
-  require(f_lo_hz <= f_hi_hz, "peak_dbm_per_mhz: need f_lo <= f_hi");
-  Real best = -300.0;
-  for (std::size_t k = 0; k < psd.freq_hz.size(); ++k) {
-    if (psd.freq_hz[k] < f_lo_hz || psd.freq_hz[k] > f_hi_hz) continue;
-    best = std::max(best, psd_to_dbm_per_mhz(psd.psd_v2_hz[k], ohms));
-  }
-  return best;
-}
-
 }  // namespace datc::dsp

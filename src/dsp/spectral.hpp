@@ -31,8 +31,4 @@ struct PsdEstimate {
 /// to dBm/MHz — the unit of the FCC UWB mask (-41.3 dBm/MHz).
 [[nodiscard]] Real psd_to_dbm_per_mhz(Real psd_v2_hz, Real ohms = 50.0);
 
-/// Maximum of a PSD in dBm/MHz over a frequency band [f_lo, f_hi].
-[[nodiscard]] Real peak_dbm_per_mhz(const PsdEstimate& psd, Real f_lo_hz,
-                                    Real f_hi_hz, Real ohms = 50.0);
-
 }  // namespace datc::dsp

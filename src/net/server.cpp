@@ -264,11 +264,19 @@ class ServedSession final : public runtime::Session {
         channels_(std::max<std::size_t>(1, channel_count)),
         out_dir_(std::move(out_dir)),
         env_(channels_) {
+    std::unique_ptr<runtime::Session> engine;
     if (channels_ > 1) {
-      shared_ = factory_->make_shared_session();
+      auto shared = factory_->make_shared_session();
+      shared_ = shared.get();
+      engine = std::move(shared);
     } else {
-      private_ = factory_->make_streaming_session(channel_id);
+      auto single = factory_->make_streaming_session(channel_id);
+      private_ = single.get();
+      engine = std::move(single);
     }
+    // The scenario's chunk and sensor faults (fault.chunk_*, fault.sensor_*)
+    // act in front of the engine; with none armed this is the engine.
+    engine_ = factory_->wrap_session_faults(std::move(engine), channel_id);
     if (!out_dir_.empty()) {
       std::filesystem::create_directories(out_dir_);
       recorder_ = std::make_unique<store::Recorder>(
@@ -291,13 +299,12 @@ class ServedSession final : public runtime::Session {
   }
 
   void push_chunk(std::span<const Real> samples_v) override {
+    engine_->push_chunk(samples_v);
     if (shared_ != nullptr) {
-      shared_->push_chunk(samples_v);
       for (std::size_t ch = 0; ch < channels_; ++ch) {
         shared_->drain_arv(ch, env_[ch]);
       }
     } else {
-      private_->push_chunk(samples_v);
       private_->drain_arv(env_[0]);
     }
     samples_per_channel_ += samples_v.size() / channels_;
@@ -315,13 +322,12 @@ class ServedSession final : public runtime::Session {
   }
 
   void finish() override {
+    engine_->finish();
     if (shared_ != nullptr) {
-      shared_->finish();
       for (std::size_t ch = 0; ch < channels_; ++ch) {
         shared_->drain_arv(ch, env_[ch]);
       }
     } else {
-      private_->finish();
       private_->drain_arv(env_[0]);
     }
     if (recorder_ != nullptr) recorder_->close();
@@ -359,11 +365,12 @@ class ServedSession final : public runtime::Session {
   std::shared_ptr<const config::PipelineFactory> factory_;
   std::size_t channels_;
   std::string out_dir_;
-  // recorder_ before the engines: the tee closure (owned by an engine)
-  // references the recorder, so the engines must be destroyed first.
+  // recorder_ before the engine: the tee closure (owned by the engine)
+  // references the recorder, so the engine must be destroyed first.
   std::unique_ptr<store::Recorder> recorder_;
-  std::unique_ptr<runtime::StreamingSession> private_;
-  std::unique_ptr<runtime::SharedAerStreamingSession> shared_;
+  std::unique_ptr<runtime::Session> engine_;  ///< fault-wrapped when armed
+  runtime::StreamingSession* private_{nullptr};  ///< inside engine_
+  runtime::SharedAerStreamingSession* shared_{nullptr};  ///< inside engine_
   std::vector<std::vector<Real>> env_;
   std::size_t samples_per_channel_{0};
   std::mutex mu_;

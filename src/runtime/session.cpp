@@ -219,7 +219,7 @@ SharedAerStreamingSession::SharedAerStreamingSession(
     const SessionConfig& config, const uwb::SharedAerConfig& shared,
     std::size_t num_channels)
     : config_(config),
-      shared_(shared),
+      arbiter_(shared.aer, num_channels),
       modulator_(frame_modulator(config), shared.aer.address_bits),
       channel_(config.link.channel, link_rngs(config.link.seed).channel),
       receiver_(receiver_config(config, frame_modulator(config),
@@ -231,17 +231,6 @@ SharedAerStreamingSession::SharedAerStreamingSession(
                "SharedAerStreamingSession: null calibration");
   dsp::require(num_channels >= 1,
                "SharedAerStreamingSession: need >= 1 channel");
-  dsp::require(shared_.aer.address_bits <= 16,
-               "SharedAerStreamingSession: address space wider than "
-               "Event::channel");
-  dsp::require(num_channels <= (std::size_t{1} << shared_.aer.address_bits),
-               "SharedAerStreamingSession: more channels than the address "
-               "space");
-  dsp::require(shared_.aer.min_spacing_s >= 0.0 &&
-                   shared_.aer.max_queue_delay_s >= 0.0,
-               "SharedAerStreamingSession: timing parameters must be "
-               "non-negative");
-  queues_.resize(num_channels);
   rx_events_.resize(num_channels);
   arv_.resize(num_channels);
   events_rx_.assign(num_channels, 0);
@@ -258,40 +247,6 @@ SharedAerStreamingSession::SharedAerStreamingSession(
             static_cast<std::uint16_t>(c)));
     reconstructors_.push_back(std::make_unique<core::StreamingDatcReconstructor>(
         config_.recon, config_.calibration));
-  }
-}
-
-/// Pops every event that is provably next in aer_merge's stable
-/// (time, channel, FIFO) order and runs the arbiter recurrence on it.
-void SharedAerStreamingSession::merge_below(Real watermark) {
-  merged_chunk_.clear();
-  while (true) {
-    std::size_t best = queues_.size();
-    for (std::size_t c = 0; c < queues_.size(); ++c) {
-      if (queues_[c].empty()) continue;
-      if (best == queues_.size() ||
-          queues_[c].front().time_s < queues_[best].front().time_s) {
-        best = c;  // strict <: equal times keep the lower channel
-      }
-    }
-    if (best == queues_.size()) break;
-    const core::Event e = queues_[best].front();
-    // An event at or beyond the watermark may still be preceded by a
-    // future event of another (currently drained) channel: wait.
-    if (!(e.time_s < watermark)) break;
-    queues_[best].pop_front();
-    ++arbiter_.in_events;
-    const Real send_at = std::max(e.time_s, next_free_);
-    const Real delay = send_at - e.time_s;
-    if (delay > shared_.aer.max_queue_delay_s) {
-      ++arbiter_.dropped;
-      continue;
-    }
-    merged_chunk_.add(send_at, e.vth_code,
-                      static_cast<std::uint16_t>(best));
-    next_free_ = send_at + shared_.aer.min_spacing_s;
-    ++arbiter_.sent;
-    arbiter_.max_delay_s = std::max(arbiter_.max_delay_s, delay);
   }
 }
 
@@ -323,7 +278,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
   std::size_t chunk_good = 0;
   std::size_t chunk_bad = 0;
   for (const auto& e : decoded_chunk_.events()) {
-    (e.channel < queues_.size() ? chunk_good : chunk_bad) += 1;
+    (e.channel < encoders_.size() ? chunk_good : chunk_bad) += 1;
   }
   health_.observe(flush ? duration
                         : std::min(receiver_.event_time_watermark(),
@@ -335,7 +290,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
   // whole chunk while the monitor is tripped — envelope hold below).
   for (const auto& e : decoded_chunk_.events()) {
     ++demux_.in_events;
-    if (e.channel < queues_.size()) {
+    if (e.channel < encoders_.size()) {
       ++demux_.sent;
       ++events_rx_[e.channel];
       if (config_.keep_rx_events) {
@@ -378,7 +333,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
 void SharedAerStreamingSession::push_chunk(std::span<const Real> samples_v) {
   dsp::require(!finished_,
                "SharedAerStreamingSession: push_chunk after finish");
-  const std::size_t n_ch = queues_.size();
+  const std::size_t n_ch = encoders_.size();
   dsp::require(samples_v.size() % n_ch == 0,
                "SharedAerStreamingSession: chunk must hold the same sample "
                "count for every channel (channel-major)");
@@ -388,16 +343,17 @@ void SharedAerStreamingSession::push_chunk(std::span<const Real> samples_v) {
   for (std::size_t c = 0; c < n_ch; ++c) {
     events_chunk_.clear();
     encoders_[c]->push_block(samples_v.subspan(c * k, k));
-    for (const auto& e : events_chunk_.events()) queues_[c].push_back(e);
+    arbiter_.push(c, events_chunk_.events());
     watermark = std::min(watermark, encoders_[c]->event_time_watermark());
   }
   samples_in_per_channel_ += k;
   const Real t_signal = static_cast<Real>(samples_in_per_channel_) /
                         config_.analog_fs_hz;
   watermark = std::min(watermark, t_signal);
-  merge_below(watermark);
+  merged_chunk_.clear();
+  arbiter_.pop_below(watermark, merged_chunk_);
   // Future merged events leave at max(event time, arbiter busy-until).
-  run_link_chunk(std::max(watermark, next_free_), t_signal,
+  run_link_chunk(std::max(watermark, arbiter_.next_free()), t_signal,
                  /*flush=*/false);
 }
 
@@ -405,7 +361,8 @@ void SharedAerStreamingSession::finish() {
   if (finished_) return;
   finished_ = true;
   const Real inf = std::numeric_limits<Real>::infinity();
-  merge_below(inf);
+  merged_chunk_.clear();
+  arbiter_.pop_below(inf, merged_chunk_);
   run_link_chunk(inf, inf, /*flush=*/true);
 }
 
@@ -417,7 +374,7 @@ void SharedAerStreamingSession::drain_arv(std::size_t channel,
 }
 
 SessionReport SharedAerStreamingSession::report(std::size_t channel) const {
-  dsp::require(channel < queues_.size(),
+  dsp::require(channel < encoders_.size(),
                "SharedAerStreamingSession: channel out of range");
   SessionReport r;
   r.channel = static_cast<std::uint32_t>(channel);

@@ -168,11 +168,12 @@ class StreamingSession final : public Session {
 };
 
 /// N channels contending for ONE arbitrated AER radio, streamed: the
-/// per-channel encoders feed an incremental arbiter (carried next_free
-/// state, k-way time/channel merge — exactly aer_merge's stable order),
-/// one radio chain, and per-channel reconstructors after the demux.
-/// Chunks arrive in lockstep rounds: push_chunk takes the samples of ALL
-/// channels, channel-major ([ch0 k samples][ch1 k samples]...).
+/// per-channel encoders push into the same uwb::AerArbiter that aer_merge
+/// runs, which releases every event below the encoders' common watermark
+/// in its heap (time, channel) order; then one radio chain, and
+/// per-channel reconstructors after the demux. Chunks arrive in lockstep
+/// rounds: push_chunk takes the samples of ALL channels, channel-major
+/// ([ch0 k samples][ch1 k samples]...).
 class SharedAerStreamingSession final : public Session {
  public:
   SharedAerStreamingSession(const SessionConfig& config,
@@ -188,7 +189,9 @@ class SharedAerStreamingSession final : public Session {
 
   void drain_arv(std::size_t channel, std::vector<Real>& out);
   [[nodiscard]] SessionReport report(std::size_t channel) const;
-  [[nodiscard]] const uwb::AerStats& arbiter_stats() const { return arbiter_; }
+  [[nodiscard]] const uwb::AerStats& arbiter_stats() const {
+    return arbiter_.stats();
+  }
   [[nodiscard]] const uwb::AerStats& demux_stats() const { return demux_; }
   [[nodiscard]] const uwb::DecodeStats& decode_stats() const {
     return receiver_.stats();
@@ -209,13 +212,10 @@ class SharedAerStreamingSession final : public Session {
 
  private:
   SessionConfig config_;
-  uwb::SharedAerConfig shared_;
   core::EventArena events_chunk_;
   std::vector<std::unique_ptr<core::StreamingDatcEncoderT<core::ArenaSink>>>
       encoders_;
-  std::vector<std::deque<core::Event>> queues_;  ///< per-channel, pre-merge
-  uwb::AerStats arbiter_{};
-  Real next_free_{-1.0};
+  uwb::AerArbiter arbiter_;
   uwb::StreamingModulator modulator_;
   uwb::StreamingChannel channel_;
   uwb::StreamingUwbReceiver receiver_;
@@ -238,7 +238,6 @@ class SharedAerStreamingSession final : public Session {
   std::size_t samples_in_per_channel_{0};
   bool finished_{false};
 
-  void merge_below(Real watermark);
   void run_link_chunk(Real merged_watermark, Real recon_watermark_cap,
                       bool flush);
 };

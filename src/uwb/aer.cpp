@@ -2,51 +2,118 @@
 #include "uwb/aer.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace datc::uwb {
 
-core::EventStream aer_merge(const std::vector<core::EventStream>& channels,
-                            const AerConfig& config, AerStats* stats) {
+AerArbiter::AerArbiter(const AerConfig& config, std::size_t num_channels)
+    : config_(config), queues_(num_channels) {
   // core::Event::channel is 16 bits wide; a larger address space would
   // truncate addresses on tagging and alias high channels onto low ones.
-  dsp::require(config.address_bits <= 16,
-               "aer_merge: address space wider than Event::channel");
-  dsp::require(channels.size() <= (std::size_t{1} << config.address_bits),
-               "aer_merge: more channels than the address space");
-  dsp::require(config.min_spacing_s >= 0.0 && config.max_queue_delay_s >= 0.0,
-               "aer_merge: timing parameters must be non-negative");
+  dsp::require(config_.address_bits <= 16,
+               "AerArbiter: address space wider than Event::channel");
+  dsp::require(num_channels <= (std::size_t{1} << config_.address_bits),
+               "AerArbiter: more channels than the address space");
+  dsp::require(config_.min_spacing_s >= 0.0 && config_.max_queue_delay_s >= 0.0,
+               "AerArbiter: timing parameters must be non-negative");
+  heap_.reserve(num_channels);
+}
 
-  // Gather and time-sort all events with their channel addresses.
-  std::vector<core::Event> all;
-  for (std::size_t c = 0; c < channels.size(); ++c) {
-    for (const auto& e : channels[c].events()) {
-      core::Event tagged = e;
-      tagged.channel = static_cast<std::uint16_t>(c);
-      all.push_back(tagged);
-    }
+void AerArbiter::push(std::size_t channel,
+                      std::span<const core::Event> events) {
+  dsp::require(channel < queues_.size(), "AerArbiter::push: no such channel");
+  if (events.empty()) return;
+  Queue& q = queues_[channel];
+  for (const auto& e : events) {
+    dsp::require(e.time_s >= q.last_time,
+                 "AerArbiter::push: events out of time order");
+    q.last_time = e.time_s;
   }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const core::Event& a, const core::Event& b) {
-                     return a.time_s < b.time_s;
-                   });
+  const bool was_empty = q.head == q.events.size();
+  // Reclaim the popped prefix once it is at least half the queue:
+  // amortised O(1) moves per event.
+  if (q.head > 0 && 2 * q.head >= q.events.size()) {
+    q.events.erase(q.events.begin(),
+                   q.events.begin() + static_cast<std::ptrdiff_t>(q.head));
+    q.head = 0;
+  }
+  q.events.insert(q.events.end(), events.begin(), events.end());
+  if (was_empty) {
+    heap_.push_back(Front{q.events[q.head].time_s,
+                          static_cast<std::uint32_t>(channel)});
+    sift_up(heap_.size() - 1);
+  }
+}
 
-  AerStats local;
-  local.in_events = all.size();
-  core::EventStream out;
-  Real next_free = -1.0;
-  for (const auto& e : all) {
-    const Real send_at = std::max(e.time_s, next_free);
+void AerArbiter::pop_below(Real watermark, core::EventStream& out) {
+  // An event at or beyond the watermark may still be preceded by a
+  // future event of another (currently drained) channel: it waits.
+  while (!heap_.empty() && heap_.front().time_s < watermark) {
+    const std::uint32_t c = heap_.front().channel;
+    Queue& q = queues_[c];
+    const core::Event e = q.events[q.head++];
+    if (q.head < q.events.size()) {
+      heap_.front().time_s = q.events[q.head].time_s;
+    } else {
+      q.events.clear();
+      q.head = 0;
+      heap_.front() = heap_.back();
+      heap_.pop_back();
+    }
+    if (!heap_.empty()) sift_down(0);
+
+    ++stats_.in_events;
+    const Real send_at = std::max(e.time_s, next_free_);
     const Real delay = send_at - e.time_s;
-    if (delay > config.max_queue_delay_s) {
-      ++local.dropped;
+    if (delay > config_.max_queue_delay_s) {
+      ++stats_.dropped;
       continue;
     }
-    out.add(send_at, e.vth_code, e.channel);
-    next_free = send_at + config.min_spacing_s;
-    ++local.sent;
-    local.max_delay_s = std::max(local.max_delay_s, delay);
+    out.add(send_at, e.vth_code, static_cast<std::uint16_t>(c));
+    next_free_ = send_at + config_.min_spacing_s;
+    ++stats_.sent;
+    stats_.max_delay_s = std::max(stats_.max_delay_s, delay);
   }
-  if (stats != nullptr) *stats = local;
+}
+
+bool AerArbiter::before(const Front& a, const Front& b) {
+  return a.time_s < b.time_s || (a.time_s == b.time_s && a.channel < b.channel);
+}
+
+void AerArbiter::sift_up(std::size_t i) {
+  const Front f = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(f, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = f;
+}
+
+void AerArbiter::sift_down(std::size_t i) {
+  const Front f = heap_[i];
+  const std::size_t n = heap_.size();
+  while (true) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], f)) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = f;
+}
+
+core::EventStream aer_merge(const std::vector<core::EventStream>& channels,
+                            const AerConfig& config, AerStats* stats) {
+  AerArbiter arbiter(config, channels.size());
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    arbiter.push(c, channels[c].events());
+  }
+  core::EventStream out;
+  arbiter.pop_below(std::numeric_limits<Real>::infinity(), out);
+  if (stats != nullptr) *stats = arbiter.stats();
   return out;
 }
 

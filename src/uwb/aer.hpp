@@ -1,12 +1,15 @@
 #pragma once
 // Address-Event Representation framing (refs [9],[12]): multiple sEMG
 // channels share one IR-UWB link by prepending an address to each event.
-// A simple arbiter enforces a minimum packet spacing on air; colliding
-// events are delayed (queued) or dropped beyond a configurable latency
-// budget — the trade-off the multi-channel glove system of ref. [12]
-// navigates.
+// One arbiter (AerArbiter) enforces a minimum packet spacing on air;
+// colliding events are delayed (queued) or dropped beyond a configurable
+// latency budget — the trade-off the multi-channel glove system of ref.
+// [12] navigates. The batch merge and the streaming shared-AER session
+// both run it.
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "core/events.hpp"
@@ -33,10 +36,61 @@ struct AerStats {
   std::size_t invalid_address{0};
 };
 
-/// Merges per-channel event streams into one arbitrated AER stream.
-/// Events keep their vth codes; `channel` fields carry the address.
+/// The one AER arbiter, fed incrementally. Each channel has a FIFO of
+/// queued events; a binary min-heap over the channel fronts, keyed on
+/// (time_s, channel), picks the next event in O(log channels), so equal
+/// times (common: events sit on the DTC clock grid) go to the lower
+/// channel and each channel keeps its FIFO order. Every popped event runs
+/// the on-air recurrence: it leaves at max(time, next_free), or is dropped
+/// once that delay exceeds `max_queue_delay_s`; a sent event holds the
+/// air for `min_spacing_s`.
+///
 /// Requires `address_bits <= 16` (the width of core::Event::channel) and
-/// `channels.size() <= 2^address_bits` so no address can alias.
+/// `num_channels <= 2^address_bits` so no address can alias.
+class AerArbiter {
+ public:
+  AerArbiter(const AerConfig& config, std::size_t num_channels);
+
+  /// Queues the channel's next events. They must be time-ordered and no
+  /// earlier than the events already pushed to that channel.
+  void push(std::size_t channel, std::span<const core::Event> events);
+
+  /// Arbitrates every queued event with time_s < watermark, in (time,
+  /// channel, FIFO) order, and appends the sent ones to `out` (send
+  /// time, vth code, channel address). The caller promises no event
+  /// pushed later has time_s < watermark.
+  void pop_below(Real watermark, core::EventStream& out);
+
+  /// Every event sent from now on leaves the air at or after this time.
+  [[nodiscard]] Real next_free() const { return next_free_; }
+  [[nodiscard]] const AerStats& stats() const { return stats_; }
+
+ private:
+  struct Queue {
+    std::vector<core::Event> events;  ///< live window is [head, size)
+    std::size_t head{0};
+    Real last_time{-std::numeric_limits<Real>::infinity()};
+  };
+  struct Front {
+    Real time_s;
+    std::uint32_t channel;
+  };
+
+  AerConfig config_;
+  std::vector<Queue> queues_;
+  std::vector<Front> heap_;  ///< one entry per non-empty queue
+  Real next_free_{-1.0};
+  AerStats stats_{};
+
+  /// Heap order: earlier time first, equal times to the lower channel.
+  static bool before(const Front& a, const Front& b);
+  void sift_down(std::size_t i);
+  void sift_up(std::size_t i);
+};
+
+/// Merges per-channel event streams into one arbitrated AER stream:
+/// every channel pushed into one AerArbiter, then popped to the end.
+/// Events keep their vth codes; `channel` fields carry the address.
 [[nodiscard]] core::EventStream aer_merge(
     const std::vector<core::EventStream>& channels, const AerConfig& config,
     AerStats* stats = nullptr);

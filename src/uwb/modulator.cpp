@@ -7,16 +7,48 @@
 
 namespace datc::uwb {
 
-void PulseTrain::sort_by_time() {
+namespace {
+
+/// reorder_by_time's move budget per pulse. Jitter and overlapping frames
+/// on a shared radio cost a few moves per pulse at most.
+constexpr std::size_t kReorderMovesPerPulse = 8;
+
+}  // namespace
+
+bool reorder_by_time(std::span<PulseEmission> pulses) {
   const auto by_time = [](const PulseEmission& a, const PulseEmission& b) {
     return a.time_s < b.time_s;
   };
-  // Stable sort of an already-sorted range is the identity, so the O(n)
-  // check skips the common case exactly: channel jitter is orders of
-  // magnitude below the pulse spacing and almost never reorders.
-  if (std::is_sorted(pulses_.begin(), pulses_.end(), by_time)) return;
-  std::stable_sort(pulses_.begin(), pulses_.end(), by_time);
+  const auto unsorted =
+      std::is_sorted_until(pulses.begin(), pulses.end(), by_time);
+  if (unsorted == pulses.end()) return false;  // in order: nothing written
+  const std::size_t n = pulses.size();
+  std::size_t i = static_cast<std::size_t>(unsorted - pulses.begin());
+  std::size_t budget = kReorderMovesPerPulse * n;
+  for (; i < n; ++i) {
+    if (!(pulses[i].time_s < pulses[i - 1].time_s)) continue;
+    // Shift strictly later predecessors right; equal times stay ahead of
+    // the inserted pulse, which is what makes the reorder stable.
+    const PulseEmission p = pulses[i];
+    std::size_t j = i;
+    do {
+      if (budget == 0) {
+        // Parking the pulse here keeps a stable permutation of the input,
+        // so the stable sort of it equals the stable sort of the input.
+        pulses[j] = p;
+        std::stable_sort(pulses.begin(), pulses.end(), by_time);
+        return true;
+      }
+      pulses[j] = pulses[j - 1];
+      --j;
+      --budget;
+    } while (j > 0 && p.time_s < pulses[j - 1].time_s);
+    pulses[j] = p;
+  }
+  return false;
 }
+
+void PulseTrain::sort_by_time() { (void)reorder_by_time(pulses_); }
 
 dsp::TimeSeries PulseTrain::render(const PulseShapeConfig& shape, Real t0,
                                    Real t1, Real fs_hz,

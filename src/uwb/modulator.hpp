@@ -5,6 +5,7 @@
 // waveform rendering is only needed for PSD/mask analysis.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/events.hpp"
@@ -29,6 +30,8 @@ class PulseTrain {
   }
   [[nodiscard]] std::size_t size() const { return pulses_.size(); }
   [[nodiscard]] bool empty() const { return pulses_.empty(); }
+  /// Stable sort by time (reorder_by_time); one read-only pass when the
+  /// train is already in order.
   void sort_by_time();
 
   /// Drop the pulses, keep the allocation (per-chunk buffer reuse in the
@@ -45,6 +48,14 @@ class PulseTrain {
  private:
   std::vector<PulseEmission> pulses_;
 };
+
+/// Stable in-place reorder by time_s; the result always equals
+/// std::stable_sort by time_s. It runs as an insertion sort — one
+/// read-only pass over input already in order, one move per inversion
+/// otherwise — until 8 moves per pulse are spent, and finishes with
+/// std::stable_sort past that budget. The budget bounds the time taken,
+/// never the result. Returns true when the fallback ran.
+[[nodiscard]] bool reorder_by_time(std::span<PulseEmission> pulses);
 
 struct ModulatorConfig {
   PulseShapeConfig shape{};

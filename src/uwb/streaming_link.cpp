@@ -82,12 +82,11 @@ void StreamingChannel::propagate_chunk(const PulseTrain& tx, Real tx_watermark,
       if (config_.jitter_rms_s > 0.0) {
         rx.time_s += config_.jitter_rms_s * jitter_scratch_[i];
       }
-      buffer_.push_back(Held{rx, next_seq_++});
+      buffer_.push_back(rx);
     }
   } else {
     for (const auto& p : tx.pulses()) {
       ++pulses_in_;
-      const std::uint64_t seq = next_seq_++;
       if (rng_.chance(config_.erasure_prob)) {
         ++erased_;
         continue;
@@ -99,7 +98,7 @@ void StreamingChannel::propagate_chunk(const PulseTrain& tx, Real tx_watermark,
         // jitter stream, so the draws cannot batch without reordering them.
         rx.time_s += config_.jitter_rms_s * rng_.gaussian_bm();
       }
-      buffer_.push_back(Held{rx, seq});
+      buffer_.push_back(rx);
     }
   }
   release_below(tx_watermark - jitter_slack_, out);
@@ -112,23 +111,19 @@ void StreamingChannel::flush(PulseTrain& out) {
 void StreamingChannel::release_below(Real threshold, PulseTrain& out) {
   if (threshold <= release_watermark_) return;  // watermark is monotone
   release_watermark_ = threshold;
-  // (time, seq) ordering == the batch stable sort by time over TX order.
-  // Keys are unique (seq is), so the sorted order is a unique permutation
-  // and skipping an already-sorted buffer is exact — the common case,
-  // since jitter is far below the pulse spacing.
-  const auto by_time_seq = [](const Held& a, const Held& b) {
-    return a.pulse.time_s != b.pulse.time_s ? a.pulse.time_s < b.pulse.time_s
-                                            : a.seq < b.seq;
-  };
-  if (!std::is_sorted(buffer_.begin(), buffer_.end(), by_time_seq)) {
-    std::sort(buffer_.begin(), buffer_.end(), by_time_seq);
+  if (reorder_by_time(std::span(buffer_).subspan(head_))) {
+    ++reorder_fallbacks_;
   }
-  std::size_t n = 0;
-  while (n < buffer_.size() && buffer_[n].pulse.time_s < threshold) {
-    out.add(buffer_[n].pulse);
-    ++n;
+  while (head_ < buffer_.size() && buffer_[head_].time_s < threshold) {
+    out.add(buffer_[head_++]);
   }
-  buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(n));
+  // Reclaim the dead prefix once it dominates the buffer; amortised O(1)
+  // per pulse, as in StreamingUwbReceiver::close_frames.
+  if (head_ > 1024 && head_ > buffer_.size() / 2) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
 }
 
 // -------------------------------------------------------------- receiver

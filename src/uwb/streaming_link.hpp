@@ -70,6 +70,15 @@ class StreamingModulator {
 /// 12-sigma bound: a larger excursion would break batch parity with
 /// probability ~1e-33 per pulse — far below anything a test or a seed
 /// sweep can encounter, and exactly zero for jitter-free channels.
+///
+/// The held-back remainder is already in time order and new pulses are
+/// appended in TX order, so a stable reorder by time alone of the live
+/// buffer (reorder_by_time: insertion, one move per inversion) equals
+/// the batch order with no TX-sequence tie break. Overlapping frames on a
+/// shared radio cost a few moves per pulse; a chunk that exceeds the
+/// move budget falls back to a stable sort, counted in
+/// reorder_fallbacks(). Released pulses advance a head index; the dead
+/// prefix is reclaimed lazily.
 class StreamingChannel {
  public:
   StreamingChannel(const ChannelConfig& config, dsp::Rng rng);
@@ -88,21 +97,23 @@ class StreamingChannel {
   [[nodiscard]] Real release_watermark() const { return release_watermark_; }
   [[nodiscard]] std::size_t erased() const { return erased_; }
   [[nodiscard]] std::size_t pulses_in() const { return pulses_in_; }
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const {
+    return buffer_.size() - head_;
+  }
+  /// Releases whose reorder ran past its move budget and stable-sorted.
+  [[nodiscard]] std::size_t reorder_fallbacks() const {
+    return reorder_fallbacks_;
+  }
 
  private:
-  struct Held {
-    PulseEmission pulse;
-    std::uint64_t seq;  ///< TX order, the stable-sort tie break
-  };
-
   ChannelConfig config_;
   dsp::Rng rng_;
   Real gain_;
   Real jitter_slack_;
-  std::vector<Held> buffer_;
+  std::vector<PulseEmission> buffer_;  ///< live window is [head_, size)
+  std::size_t head_{0};
   std::vector<Real> jitter_scratch_;  ///< batched jitter draws, reused
-  std::uint64_t next_seq_{0};
+  std::size_t reorder_fallbacks_{0};
   std::size_t erased_{0};
   std::size_t pulses_in_{0};
   Real release_watermark_{0.0};

@@ -9,6 +9,7 @@
 
 #include "dsp/rng.hpp"
 #include "emg/fatigue.hpp"
+#include "spectral_helpers.hpp"
 
 namespace {
 
@@ -76,10 +77,10 @@ TEST(Goertzel, MeasuresToneAmplitude) {
 
 TEST(Goertzel, TonePowerFraction) {
   auto x = tone(50.0, 2500.0, 10000, 1.0);
-  EXPECT_NEAR(dsp::tone_power_fraction(x, 2500.0, 50.0), 1.0, 0.02);
+  EXPECT_NEAR(testutil::tone_power_fraction(x, 2500.0, 50.0), 1.0, 0.02);
   dsp::Rng rng(4);
   for (auto& v : x) v += 3.0 * rng.gaussian();
-  const Real frac = dsp::tone_power_fraction(x, 2500.0, 50.0);
+  const Real frac = testutil::tone_power_fraction(x, 2500.0, 50.0);
   EXPECT_GT(frac, 0.01);
   EXPECT_LT(frac, 0.3);
 }

@@ -11,6 +11,7 @@
 #include "dsp/rng.hpp"
 #include "dsp/spectral.hpp"
 #include "dsp/stats.hpp"
+#include "spectral_helpers.hpp"
 
 namespace {
 
@@ -140,8 +141,8 @@ TEST(Psd, PeakSearchRespectsBand) {
   dsp::PsdEstimate psd;
   psd.freq_hz = {0.0, 100.0, 200.0, 300.0};
   psd.psd_v2_hz = {1.0, 10.0, 100.0, 1.0};
-  const Real in_band = dsp::peak_dbm_per_mhz(psd, 50.0, 150.0);
-  const Real all = dsp::peak_dbm_per_mhz(psd, 0.0, 400.0);
+  const Real in_band = testutil::peak_dbm_per_mhz(psd, 50.0, 150.0);
+  const Real all = testutil::peak_dbm_per_mhz(psd, 0.0, 400.0);
   EXPECT_LT(in_band, all);
 }
 

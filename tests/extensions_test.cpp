@@ -12,6 +12,7 @@
 #include "emg/artifacts.hpp"
 #include "emg/dataset.hpp"
 #include "emg/evaluation.hpp"
+#include "spectral_helpers.hpp"
 
 namespace {
 
@@ -107,10 +108,10 @@ TEST(Extensions, NotchRemovesInjectedHum) {
   dsp::Rng rng(3);
   emg::inject_artifacts(rec.emg_v, art, rng);
   const Real before =
-      dsp::tone_power_fraction(rec.emg_v.view(), 2500.0, 50.0);
+      testutil::tone_power_fraction(rec.emg_v.view(), 2500.0, 50.0);
   dsp::BiquadCascade notch({dsp::notch(50.0, 8.0, 2500.0)});
   auto filtered = notch.filter(rec.emg_v.view());
-  const Real after = dsp::tone_power_fraction(filtered, 2500.0, 50.0);
+  const Real after = testutil::tone_power_fraction(filtered, 2500.0, 50.0);
   EXPECT_GT(before, 0.05);
   EXPECT_LT(after, before / 10.0);
 }

@@ -463,8 +463,14 @@ TEST_F(NetServeTest, MalformedPayloadIsSkippedAndTheSessionContinues) {
 }
 
 TEST_F(NetServeTest, BackpressureBoundsInflightWithoutDeadlock) {
-  start(fast_spec(),
-        [](net::ServeConfig& cfg) { cfg.max_inflight_chunks = 1; });
+  // Every chunk stalls on the strand (the seeded stall fault, probability
+  // 1) for far longer than the event loop takes from submit to the
+  // inflight check, so no chunk can finish inside that window and the
+  // throttle count does not depend on thread timing.
+  config::ScenarioSpec spec = fast_spec();
+  spec.fault.chunk_stall_prob = 1.0;
+  spec.fault.chunk_stall_ms = 50.0;
+  start(spec, [](net::ServeConfig& cfg) { cfg.max_inflight_chunks = 1; });
 
   constexpr std::size_t kChunks = 24;
   const std::vector<Real> chunk(kChunk, 0.01);

@@ -5,14 +5,20 @@
 // building blocks must hold their individual contracts (open frames across
 // chunk boundaries, cumulative receiver stats, channel tagging).
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
 #include <numeric>
 
+#include "config/factory.hpp"
+#include "core/datc_encoder.hpp"
 #include "core/streaming.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
 #include "sim/stream_parity.hpp"
+#include "uwb/aer.hpp"
+#include "uwb/modulator.hpp"
 #include "uwb/streaming_link.hpp"
 
 namespace {
@@ -100,6 +106,98 @@ TEST_P(SharedStreamParityTest, SharedAerStreamingMatchesBatchExactly) {
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, SharedStreamParityTest,
                          ::testing::Values(1, 7, 64, 4096, 0));
+
+// The shared-aer-64ch framing: 6 address bits and 1 us spacing, so frames
+// (10 slots of 100 ns after the marker) overlap on air, arbitration ties
+// are everywhere and the channel's reorder buffer does real work.
+class SharedStream64ParityTest
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(SharedStream64ParityTest, SixtyFourChannelsMatchBatchExactly) {
+  std::vector<dsp::TimeSeries> chans;
+  for (std::size_t c = 0; c < 64; ++c) {
+    chans.push_back(
+        make_channel(700 + c, 0.5, 0.16 + 0.011 * static_cast<Real>(c)).emg_v);
+  }
+  const emg::EvalConfig eval;
+  uwb::SharedAerConfig shared;
+  shared.aer.address_bits = 6;
+  shared.aer.min_spacing_s = 1e-6;
+  auto link = noisy_link(61);
+  link.channel.erasure_prob = 0.0;  // the gateway's batched-jitter path
+  const auto r = sim::check_shared_stream_parity(chans, eval, link, shared,
+                                                 test_calibration(),
+                                                 GetParam());
+  EXPECT_TRUE(r.events_equal)
+      << "decoded/demuxed streams differ: batch " << r.events_batch
+      << " vs stream " << r.events_stream << " (chunk " << GetParam() << ")";
+  EXPECT_TRUE(r.arv_equal) << "ARV diverged by " << r.max_abs_arv_diff
+                           << " (chunk " << GetParam() << ")";
+  EXPECT_GT(r.events_batch, 5000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ChunkSizes, SharedStream64ParityTest,
+                         ::testing::Values(1, 7, 64, 0));
+
+// ------------------------------------------------------- reorder budget
+
+/// Feeds `train` through a StreamingChannel in chunks of `chunk` pulses
+/// (0 = whole train), each with the tightest valid TX watermark, and
+/// returns the channel's reorder fallback count.
+std::size_t reorder_fallbacks(const uwb::PulseTrain& train,
+                              const uwb::LinkConfig& link, std::size_t chunk) {
+  const auto& p = train.pulses();
+  std::vector<Real> suffix_min(p.size() + 1,
+                               std::numeric_limits<Real>::infinity());
+  for (std::size_t i = p.size(); i-- > 0;) {
+    suffix_min[i] = std::min(p[i].time_s, suffix_min[i + 1]);
+  }
+  if (chunk == 0) chunk = std::max<std::size_t>(p.size(), 1);
+  uwb::StreamingChannel channel(link.channel, dsp::Rng(link.seed));
+  uwb::PulseTrain tx;
+  uwb::PulseTrain rx;
+  for (std::size_t at = 0; at < p.size(); at += chunk) {
+    const std::size_t end = std::min(p.size(), at + chunk);
+    tx.clear();
+    for (std::size_t i = at; i < end; ++i) tx.add(p[i]);
+    channel.propagate_chunk(tx, suffix_min[end], rx);
+  }
+  channel.flush(rx);
+  EXPECT_EQ(rx.size() + channel.erased(), p.size());
+  return channel.reorder_fallbacks();
+}
+
+TEST(StreamingChannel, NoReorderFallbackOnAnyPresetTrain) {
+  // The move budget bounds the reorder's time; on every shipped preset's
+  // own TX train (private: each channel's D-ATC packets; shared: the
+  // arbitrated AER frames of all channels) it must never be exhausted.
+  for (const auto& name : config::preset_names()) {
+    const config::PipelineFactory factory(config::make_preset(name));
+    const auto eval = factory.eval_config();
+    const auto link = factory.link_config();
+    std::vector<core::EventStream> tx;
+    for (const auto& rec : factory.make_recordings()) {
+      tx.push_back(core::encode_datc_events(rec.emg_v,
+                                            emg::datc_encoder_config(eval)));
+    }
+    std::vector<uwb::PulseTrain> trains;
+    if (factory.spec().aer.topology == config::LinkTopology::kSharedAer) {
+      const auto shared = factory.shared_config();
+      trains.push_back(uwb::modulate_aer(uwb::aer_merge(tx, shared.aer),
+                                         link.modulator,
+                                         shared.aer.address_bits));
+    } else {
+      for (const auto& ev : tx) {
+        trains.push_back(uwb::modulate_datc(ev, link.modulator));
+      }
+    }
+    for (const auto& train : trains) {
+      ASSERT_GT(train.size(), 0u) << name;
+      EXPECT_EQ(reorder_fallbacks(train, link, 97), 0u) << name;
+      EXPECT_EQ(reorder_fallbacks(train, link, 0), 0u) << name;
+    }
+  }
+}
 
 // --------------------------------------------------------- session manager
 

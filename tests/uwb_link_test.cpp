@@ -1,9 +1,13 @@
 // UWB link: modulation layout, channel statistics, energy-detector
-// probabilities, packet decode round-trips and AER arbitration.
+// probabilities, packet decode round-trips, AER arbitration (against a
+// gather + stable_sort oracle) and the stable time reorder.
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
+#include "dsp/rng.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
@@ -387,6 +391,185 @@ TEST(Aer, SplitReportsOutOfRangeAddresses) {
   ASSERT_EQ(split.size(), 2u);
   EXPECT_EQ(split[0].size(), 1u);
   EXPECT_EQ(split[1].size(), 1u);
+}
+
+/// The arbiter as a batch gather + stable_sort by time over channel-major
+/// order + the on-air recurrence: independent of the heap merge.
+core::EventStream oracle_aer_merge(
+    const std::vector<core::EventStream>& channels, const uwb::AerConfig& cfg,
+    uwb::AerStats& stats) {
+  std::vector<core::Event> all;
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    for (core::Event e : channels[c].events()) {
+      e.channel = static_cast<std::uint16_t>(c);
+      all.push_back(e);
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [](const core::Event& a, const core::Event& b) {
+                     return a.time_s < b.time_s;
+                   });
+  stats = uwb::AerStats{};
+  stats.in_events = all.size();
+  core::EventStream out;
+  Real next_free = -1.0;
+  for (const auto& e : all) {
+    const Real send_at = std::max(e.time_s, next_free);
+    const Real delay = send_at - e.time_s;
+    if (delay > cfg.max_queue_delay_s) {
+      ++stats.dropped;
+      continue;
+    }
+    out.add(send_at, e.vth_code, e.channel);
+    next_free = send_at + cfg.min_spacing_s;
+    ++stats.sent;
+    stats.max_delay_s = std::max(stats.max_delay_s, delay);
+  }
+  return out;
+}
+
+void expect_same_stream(const core::EventStream& got,
+                        const core::EventStream& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time_s, want[i].time_s) << i;
+    EXPECT_EQ(got[i].vth_code, want[i].vth_code) << i;
+    EXPECT_EQ(got[i].channel, want[i].channel) << i;
+  }
+}
+
+TEST(AerArbiter, MatchesStableSortOracleUnderTiesDropsAndWatermarks) {
+  // 48 channels on the 2 kHz DTC grid: most events share a tick with
+  // events of other channels (and of their own channel), so the order of
+  // ties decides the output. A burst-heavy load against a short delay
+  // budget forces drops.
+  const std::size_t kChannels = 48;
+  const Real kTick = 5e-4;
+  dsp::Rng rng(2024);
+  std::vector<core::EventStream> chans(kChannels);
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    std::uint64_t tick = rng.integer(0, 3);
+    for (int i = 0; i < 120; ++i) {
+      tick += rng.integer(0, 2);  // 0: another event on the same tick
+      chans[c].add(static_cast<Real>(tick) * kTick,
+                   static_cast<std::uint8_t>(rng.integer(0, 15)));
+    }
+  }
+  uwb::AerConfig cfg;
+  cfg.address_bits = 6;
+  cfg.min_spacing_s = 2e-5;
+  cfg.max_queue_delay_s = 4e-4;
+  uwb::AerStats want_stats;
+  const auto want = oracle_aer_merge(chans, cfg, want_stats);
+  ASSERT_GT(want_stats.dropped, 0u);
+  ASSERT_GT(want_stats.sent, 1000u);
+
+  uwb::AerStats batch_stats;
+  const auto batch = uwb::aer_merge(chans, cfg, &batch_stats);
+  expect_same_stream(batch, want);
+  EXPECT_EQ(batch_stats.in_events, want_stats.in_events);
+  EXPECT_EQ(batch_stats.sent, want_stats.sent);
+  EXPECT_EQ(batch_stats.dropped, want_stats.dropped);
+  EXPECT_EQ(batch_stats.max_delay_s, want_stats.max_delay_s);
+
+  // Incremental: each step pushes every channel up to a random look-ahead
+  // past the watermark (at least all of its events below it), then pops
+  // below the watermark — the streaming session's contract.
+  uwb::AerArbiter arbiter(cfg, kChannels);
+  std::vector<std::size_t> next(kChannels, 0);
+  core::EventStream streamed;
+  Real watermark = 0.0;
+  while (watermark < 0.2) {
+    watermark += static_cast<Real>(rng.integer(0, 40)) * kTick * 0.25;
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      const auto& ev = chans[c].events();
+      std::size_t end = next[c];
+      while (end < ev.size() && ev[end].time_s < watermark) ++end;
+      end = std::min(ev.size(), end + rng.integer(0, 3));
+      arbiter.push(c, {ev.data() + next[c], end - next[c]});
+      next[c] = end;
+    }
+    arbiter.pop_below(watermark, streamed);
+    EXPECT_GE(arbiter.next_free(), streamed.empty()
+                                       ? -1.0
+                                       : streamed[streamed.size() - 1].time_s);
+  }
+  for (std::size_t c = 0; c < kChannels; ++c) {
+    const auto& ev = chans[c].events();
+    arbiter.push(c, {ev.data() + next[c], ev.size() - next[c]});
+  }
+  arbiter.pop_below(std::numeric_limits<Real>::infinity(), streamed);
+  expect_same_stream(streamed, want);
+  EXPECT_EQ(arbiter.stats().in_events, want_stats.in_events);
+  EXPECT_EQ(arbiter.stats().sent, want_stats.sent);
+  EXPECT_EQ(arbiter.stats().dropped, want_stats.dropped);
+  EXPECT_EQ(arbiter.stats().max_delay_s, want_stats.max_delay_s);
+}
+
+TEST(AerArbiter, RejectsEventsOutOfTimeOrder) {
+  uwb::AerArbiter arbiter(uwb::AerConfig{}, 2);
+  const std::vector<core::Event> late{{0.002, 1, 0}};
+  const std::vector<core::Event> early{{0.001, 1, 0}};
+  arbiter.push(0, late);
+  EXPECT_THROW(arbiter.push(0, early), std::invalid_argument);
+  arbiter.push(1, early);  // channels are ordered independently
+  EXPECT_THROW(arbiter.push(2, early), std::invalid_argument);
+}
+
+/// Pulses tagged with their input position, so stability is visible.
+uwb::PulseTrain tagged_train(const std::vector<Real>& times) {
+  uwb::PulseTrain t;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    t.add({times[i], 1.0, static_cast<std::uint32_t>(i), false});
+  }
+  return t;
+}
+
+void expect_reorder_matches_stable_sort(const std::vector<Real>& times,
+                                        bool expect_fallback) {
+  auto got = tagged_train(times).pulses();
+  auto want = got;
+  std::stable_sort(want.begin(), want.end(),
+                   [](const uwb::PulseEmission& a,
+                      const uwb::PulseEmission& b) {
+                     return a.time_s < b.time_s;
+                   });
+  EXPECT_EQ(uwb::reorder_by_time(got), expect_fallback);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time_s, want[i].time_s) << i;
+    EXPECT_EQ(got[i].packet_id, want[i].packet_id) << i;
+  }
+}
+
+TEST(Reorder, MatchesStableSortOnEveryInputShape) {
+  dsp::Rng rng(77);
+  const std::size_t n = 600;
+  std::vector<Real> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) sorted[i] = 1e-6 * static_cast<Real>(i);
+  expect_reorder_matches_stable_sort(sorted, false);
+
+  // Nearly sorted: jitter of a few spacings, a few inversions per pulse.
+  std::vector<Real> nearly = sorted;
+  for (auto& t : nearly) t += 2.5e-6 * rng.uniform();
+  ASSERT_FALSE(std::is_sorted(nearly.begin(), nearly.end()));
+  expect_reorder_matches_stable_sort(nearly, false);
+
+  // Equal times: overlapping frames on a shared radio tie on the slot
+  // grid; ties must keep input order.
+  std::vector<Real> ties(n);
+  for (auto& t : ties) t = 1e-7 * static_cast<Real>(rng.integer(0, 40));
+  std::sort(ties.begin(), ties.end());
+  for (std::size_t i = 0; i + 3 < n; i += 7) std::swap(ties[i], ties[i + 3]);
+  expect_reorder_matches_stable_sort(ties, false);
+
+  // Reversed: n^2/2 inversions exceed the move budget.
+  std::vector<Real> reversed(sorted.rbegin(), sorted.rend());
+  for (std::size_t i = 0; i < n; i += 5) reversed[i] = reversed[i + 1];
+  expect_reorder_matches_stable_sort(reversed, true);
+
+  expect_reorder_matches_stable_sort({}, false);
+  expect_reorder_matches_stable_sort({0.5}, false);
 }
 
 TEST(EventStream, HelpersBehave) {

@@ -8,6 +8,7 @@
 #include "dsp/stats.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/pulse.hpp"
+#include "spectral_helpers.hpp"
 
 namespace {
 
@@ -102,7 +103,7 @@ TEST(FccMask, DatcPacketBurstCompliant) {
   const Real fs = 16e9;
   const auto wav = train.render(mod.shape, 0.0, 2.2e-3, fs, 1u << 26);
   const auto psd = dsp::welch_psd(wav.view(), fs, 1 << 16);
-  const Real peak = dsp::peak_dbm_per_mhz(psd, 3.1e9, 10.6e9);
+  const Real peak = testutil::peak_dbm_per_mhz(psd, 3.1e9, 10.6e9);
   EXPECT_LT(peak, -41.3);
 }
 
@@ -115,7 +116,7 @@ TEST(FccMask, ViolatedByExcessiveAmplitude) {
   const Real fs = 16e9;
   const auto wav = train.render(mod.shape, 0.0, 1.2e-3, fs, 1u << 26);
   const auto psd = dsp::welch_psd(wav.view(), fs, 1 << 16);
-  const Real peak = dsp::peak_dbm_per_mhz(psd, 1e9, 8e9);
+  const Real peak = testutil::peak_dbm_per_mhz(psd, 1e9, 8e9);
   EXPECT_GT(peak, -41.3);
 }
 

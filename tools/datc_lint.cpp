@@ -44,6 +44,8 @@
 //   datc_lint --root DIR [--root DIR]... [FILE]...  lint; exit 1 on findings
 //       --graph           also run the include-graph pass over each root
 //       --diff BASE       only report findings in files changed vs BASE
+//                         (every test-only-module finding once a
+//                         consumer file changed or was deleted)
 //       --sarif OUT       write findings as SARIF 2.1.0 (code scanning)
 //       --dot OUT         write the directory-level include graph as DOT
 //   datc_lint --self-test FIXTURE_DIR               fixture mode
@@ -94,13 +96,13 @@ std::string norm(const std::string& p) {
 
 // ------------------------------------------------------------- diff mode
 
-/// Files changed relative to BASE (git diff), normalized; deleted files
-/// excluded. Exits 2 when git cannot answer — a silent empty set would
-/// make --diff mode pass vacuously.
+/// Files changed or deleted relative to BASE (git diff), normalized. A
+/// deleted file has no findings of its own, but deleting a consumer can
+/// orphan a header (see diff_scope). Exits 2 when git cannot answer — a
+/// silent empty set would make --diff mode pass vacuously.
 std::set<std::string> git_changed_files(const std::string& base) {
   const std::string cmd =
-      "git diff --name-only --diff-filter=d " + base + " -- '*.cpp' '*.hpp' "
-      "'*.cc' '*.h'";
+      "git diff --name-only " + base + " -- '*.cpp' '*.hpp' '*.cc' '*.h'";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) {
     std::cerr << "datc_lint: cannot run git for --diff " << base << "\n";
@@ -124,6 +126,47 @@ std::set<std::string> git_changed_files(const std::string& base) {
     if (!line.empty()) files.insert(norm(line));
   }
   return files;
+}
+
+/// True when `path` lies under one of the consumer directories beside
+/// `root` (spelled as the root is: both relative to the same directory).
+bool in_consumer_dir(const std::string& path, const std::string& root,
+                     const LayerSpec& spec) {
+  fs::path base = fs::path(root).lexically_normal();
+  if (!base.has_filename()) base = base.parent_path();  // "src/" -> "src"
+  base = base.parent_path();
+  const auto under = [&](const std::string& dir) {
+    return path.rfind(norm((base / dir).generic_string()) + "/", 0) == 0;
+  };
+  return std::any_of(spec.consumers.begin(), spec.consumers.end(), under) &&
+         std::none_of(spec.non_consumers.begin(), spec.non_consumers.end(),
+                      under);
+}
+
+/// The --diff scope: findings in the changed files. A change to a
+/// consumer (tools/, bench/, examples/, perfbench/) can drop a module's
+/// last include and orphan a header that did not itself change, so once
+/// any consumer file changed or was deleted, every test-only-module
+/// finding is reported as well.
+std::vector<Finding> diff_scope(std::vector<Finding> findings,
+                                const std::set<std::string>& changed,
+                                const std::vector<std::string>& roots,
+                                const LayerSpec& spec) {
+  const bool consumer_changed =
+      std::any_of(changed.begin(), changed.end(), [&](const std::string& p) {
+        return std::any_of(roots.begin(), roots.end(),
+                           [&](const std::string& root) {
+                             return in_consumer_dir(p, root, spec);
+                           });
+      });
+  std::vector<Finding> kept;
+  for (auto& f : findings) {
+    if (changed.count(norm(f.file)) != 0 ||
+        (consumer_changed && f.rule == "test-only-module")) {
+      kept.push_back(std::move(f));
+    }
+  }
+  return kept;
 }
 
 // ------------------------------------------------------------------ SARIF
@@ -272,16 +315,12 @@ int run_lint(const Options& opt) {
   }
 
   // --diff BASE: the full tree is still analyzed (graph properties are
-  // global) but only findings in changed files are reported.
+  // global) but only findings in the diff scope are reported.
   if (!opt.diff_base.empty()) {
     const std::set<std::string> changed = git_changed_files(opt.diff_base);
-    std::vector<Finding> kept;
-    for (auto& f : findings) {
-      if (changed.count(norm(f.file)) != 0) kept.push_back(std::move(f));
-    }
     std::cout << "datc_lint: --diff " << opt.diff_base << ": "
               << changed.size() << " changed file(s) in scope\n";
-    findings = std::move(kept);
+    findings = diff_scope(std::move(findings), changed, opt.roots, spec);
   }
   datc_lint::sort_findings(findings);
 
@@ -312,7 +351,9 @@ int run_lint(const Options& opt) {
 /// Graph fixtures live in FIXTURE_DIR/graph/<case>/: a mini source tree
 /// plus an EXPECT file of `rule|relpath|line|message-substring` lines
 /// (or the single word `none`). The include-graph pass must reproduce
-/// exactly those diagnostics. A case holding a src/ directory is linted
+/// exactly those diagnostics. A case with a DIFF file (one changed or
+/// deleted path per line, relative to the case) is filtered through the
+/// --diff scope first, as if those files differed from the base. A case holding a src/ directory is linted
 /// with src/ as the root, so its tools/, bench/, ... and tests/ sit
 /// beside the root as in the repository (test-only-module); relpaths
 /// stay relative to the case.
@@ -474,7 +515,18 @@ int run_self_test(const std::string& dir) {
                                    ? case_dir / "src"
                                    : case_dir;
     const IncludeGraph graph = IncludeGraph::build(case_root.string());
-    const auto findings = graph.check(spec);
+    auto findings = graph.check(spec);
+    if (fs::is_regular_file(case_dir / "DIFF")) {
+      std::set<std::string> changed;
+      std::stringstream ss(read_file(case_dir / "DIFF"));
+      std::string line;
+      while (std::getline(ss, line)) {
+        if (line.empty() || line[0] == '#') continue;
+        changed.insert((case_dir / line).lexically_normal().generic_string());
+      }
+      findings =
+          diff_scope(std::move(findings), changed, {case_root.string()}, spec);
+    }
     bool ok = true;
     std::string why;
     if (expect_none) {
