@@ -86,8 +86,8 @@ core::CalibrationPtr PipelineFactory::calibration() const {
 }
 
 runtime::SessionConfig PipelineFactory::session_config() const {
-  auto cfg = sim::make_session_config(eval_config(), link_config(),
-                                      calibration());
+  auto cfg = runtime::make_session_config(eval_config(), link_config(),
+                                          calibration());
   cfg.health = health_config();
   return cfg;
 }

@@ -100,6 +100,7 @@ ScenarioRunReport run_scenario(const ScenarioSpec& spec) {
     out.pulses_erased = batch.shared.pulses_erased;
     out.events_dropped = batch.shared.arbiter.dropped;
     out.invalid_address = batch.shared.demux.invalid_address;
+    out.ledger = batch.shared.ledger;
   } else {
     for (const auto& ch : batch.channels) {
       out.pulses_tx += ch.pulses_tx;
@@ -157,13 +158,21 @@ ScenarioGridResult run_scenario_grid(const ScenarioGridConfig& config) {
 
 std::string scenario_grid_table(const ScenarioGridResult& result) {
   sim::Table table({"scenario", "overrides", "mode", "ch", "events tx/rx",
-               "drop", "rx corr % (mean/min)", "wall ms"});
+               "drop", "matched/addr/code/spur", "rx corr % (mean/min)",
+               "wall ms"});
   for (const auto& p : result.points) {
+    const auto& l = p.ledger;
     table.add_row(
         {p.scenario, p.overrides.empty() ? "-" : p.overrides, p.topology,
          sim::Table::integer(p.channels),
          sim::Table::integer(p.events_tx) + "/" + sim::Table::integer(p.events_rx),
          sim::Table::integer(p.events_dropped),
+         p.topology == "shared"
+             ? sim::Table::integer(l.matched) + "/" +
+                   sim::Table::integer(l.address_errors) + "/" +
+                   sim::Table::integer(l.code_errors) + "/" +
+                   sim::Table::integer(l.spurious)
+             : "-",
          sim::Table::num(p.mean_rx_correlation_pct, 2) + "/" +
              sim::Table::num(p.min_rx_correlation_pct, 2),
          sim::Table::num(p.wall_seconds * 1e3, 1)});
@@ -184,6 +193,10 @@ void write_scenario_point_json(std::ostream& out,
       << ", \"events_rx\": " << p.events_rx
       << ", \"events_dropped\": " << p.events_dropped
       << ", \"invalid_address\": " << p.invalid_address
+      << ", \"matched\": " << p.ledger.matched
+      << ", \"address_errors\": " << p.ledger.address_errors
+      << ", \"code_errors\": " << p.ledger.code_errors
+      << ", \"spurious\": " << p.ledger.spurious
       << ", \"mean_rx_correlation_pct\": " << p.mean_rx_correlation_pct
       << ", \"min_rx_correlation_pct\": " << p.min_rx_correlation_pct
       << ", \"mean_tx_correlation_pct\": " << p.mean_tx_correlation_pct

@@ -3,7 +3,8 @@
 // (cross-product, e.g. channels = 1,8,64 x distance = 0.2,1.0), runs
 // every expanded scenario through PipelineFactory's batch engine
 // across the thread pool, and emits ONE comparable report schema for
-// every mode (private radios and shared AER alike). Backs the
+// every mode (private radios and shared AER alike; shared points also
+// carry the link's TX <-> RX ledger). The one sweep driver: backs the
 // `datc sweep` CLI and bench_scenarios (BENCH_scenarios.json).
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "config/scenario.hpp"
+#include "uwb/aer.hpp"
 
 namespace datc::config {
 
@@ -48,6 +50,7 @@ struct ScenarioRunReport {
   std::size_t events_rx{0};
   std::size_t events_dropped{0};    ///< lost in AER arbitration (shared)
   std::size_t invalid_address{0};   ///< demuxed outside [0, channels)
+  uwb::AerLedgerCounts ledger{};    ///< decoded frames vs sent (shared)
   Real mean_rx_correlation_pct{0.0};
   Real min_rx_correlation_pct{0.0};
   Real mean_tx_correlation_pct{0.0};  ///< lossless-link reference score

@@ -2,9 +2,6 @@
 #include "dsp/spectral.hpp"
 #include "dsp/types.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace datc::dsp {
 
 Real median_frequency_hz(const PsdEstimate& psd) {
@@ -45,26 +42,6 @@ Real mean_frequency_hz(const PsdEstimate& psd) {
 Real median_frequency_hz(std::span<const Real> x, Real fs_hz,
                          std::size_t segment) {
   return median_frequency_hz(welch_psd(x, fs_hz, segment));
-}
-
-Real goertzel_power(std::span<const Real> x, Real fs_hz, Real f_hz) {
-  require(!x.empty(), "goertzel_power: empty input");
-  require(fs_hz > 0.0 && f_hz >= 0.0 && f_hz <= fs_hz / 2.0,
-          "goertzel_power: frequency outside [0, fs/2]");
-  const Real w = 2.0 * std::numbers::pi_v<Real> * f_hz / fs_hz;
-  const Real coeff = 2.0 * std::cos(w);
-  Real s0 = 0.0;
-  Real s1 = 0.0;
-  Real s2 = 0.0;
-  for (const Real v : x) {
-    s0 = v + coeff * s1 - s2;
-    s2 = s1;
-    s1 = s0;
-  }
-  const Real n = static_cast<Real>(x.size());
-  const Real power =
-      (s1 * s1 + s2 * s2 - coeff * s1 * s2) / (n * n / 4.0);
-  return power;  // ~A^2 for a tone of amplitude A at f_hz
 }
 
 }  // namespace datc::dsp

@@ -22,9 +22,4 @@ namespace datc::dsp {
 [[nodiscard]] Real median_frequency_hz(std::span<const Real> x, Real fs_hz,
                                        std::size_t segment = 1024);
 
-/// Goertzel algorithm: power of a single frequency bin (V^2), exact for
-/// tones at bin centres and far cheaper than a full FFT for one bin.
-[[nodiscard]] Real goertzel_power(std::span<const Real> x, Real fs_hz,
-                                  Real f_hz);
-
 }  // namespace datc::dsp

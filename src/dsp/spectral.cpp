@@ -87,12 +87,4 @@ PsdEstimate welch_psd(std::span<const Real> x, Real fs_hz, std::size_t segment,
   return out;
 }
 
-Real psd_to_dbm_per_mhz(Real psd_v2_hz, Real ohms) {
-  require(ohms > 0.0, "psd_to_dbm_per_mhz: resistance must be positive");
-  // V^2/Hz -> W/Hz -> mW/MHz: * 1e3 (mW/W) * 1e6 (Hz/MHz).
-  const Real mw_per_mhz = psd_v2_hz / ohms * 1.0e9;
-  if (mw_per_mhz <= 0.0) return -300.0;  // floor for empty bins
-  return 10.0 * std::log10(mw_per_mhz);
-}
-
 }  // namespace datc::dsp

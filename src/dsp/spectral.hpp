@@ -27,8 +27,4 @@ struct PsdEstimate {
                                     std::size_t segment,
                                     WindowKind window = WindowKind::kHann);
 
-/// Converts a one-sided PSD in V^2/Hz (across a resistance of `ohms`)
-/// to dBm/MHz — the unit of the FCC UWB mask (-41.3 dBm/MHz).
-[[nodiscard]] Real psd_to_dbm_per_mhz(Real psd_v2_hz, Real ohms = 50.0);
-
 }  // namespace datc::dsp

@@ -34,8 +34,8 @@ struct EvalConfig {
 
 /// The ONE EvalConfig -> transmitter mapping. Every path that encodes
 /// D-ATC (Evaluator, PipelineRunner, streaming sessions via
-/// make_session_config, config::PipelineFactory) derives its encoder from
-/// here, so a default cannot drift between them.
+/// runtime::make_session_config, config::PipelineFactory) derives its
+/// encoder from here, so a default cannot drift between them.
 [[nodiscard]] core::DatcEncoderConfig datc_encoder_config(
     const EvalConfig& config);
 
@@ -53,8 +53,8 @@ struct EvalConfig {
 
 /// The scorer: the only truth-vs-envelope scoring path in the library.
 /// Every figure that correlates a reconstructed envelope with the
-/// ground-truth ARV envelope (Evaluator, PipelineRunner, sim::link_sweep)
-/// comes through here or through Evaluator::score.
+/// ground-truth ARV envelope (Evaluator, PipelineRunner) comes through
+/// here or through Evaluator::score.
 /// Envelope k is scored over the common length n = min(truth.size(),
 /// env.size()); the result is bit for bit dsp::correlation_percent(
 /// truth[:n], env[:n]). Two neighbouring envelopes of one length (rx

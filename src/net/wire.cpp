@@ -147,32 +147,6 @@ void append_end(std::vector<std::uint8_t>& out, std::uint64_t session_id) {
   seal_frame(out, at);
 }
 
-std::vector<std::uint8_t> encode_hello(const HelloBody& body) {
-  std::vector<std::uint8_t> out;
-  append_hello(out, body);
-  return out;
-}
-
-std::vector<std::uint8_t> encode_data(std::uint64_t session_id,
-                                      std::uint64_t seq,
-                                      std::span<const Real> samples) {
-  std::vector<std::uint8_t> out;
-  append_data(out, session_id, seq, samples);
-  return out;
-}
-
-std::vector<std::uint8_t> encode_control(const ControlBody& body) {
-  std::vector<std::uint8_t> out;
-  append_control(out, body);
-  return out;
-}
-
-std::vector<std::uint8_t> encode_end(std::uint64_t session_id) {
-  std::vector<std::uint8_t> out;
-  append_end(out, session_id);
-  return out;
-}
-
 // ------------------------------------------------------------- decoding
 
 bool parse_payload(std::span<const std::uint8_t> payload, Frame* out,

@@ -121,15 +121,6 @@ void append_data(std::vector<std::uint8_t>& out, std::uint64_t session_id,
 void append_control(std::vector<std::uint8_t>& out, const ControlBody& body);
 void append_end(std::vector<std::uint8_t>& out, std::uint64_t session_id);
 
-/// Convenience for tests/clients: one frame as its exact byte image.
-[[nodiscard]] std::vector<std::uint8_t> encode_hello(const HelloBody& body);
-[[nodiscard]] std::vector<std::uint8_t> encode_data(
-    std::uint64_t session_id, std::uint64_t seq,
-    std::span<const Real> samples);
-[[nodiscard]] std::vector<std::uint8_t> encode_control(
-    const ControlBody& body);
-[[nodiscard]] std::vector<std::uint8_t> encode_end(std::uint64_t session_id);
-
 // ------------------------------------------------------------- decoding
 
 class FrameDecoder {

@@ -5,12 +5,15 @@
 // encode kernel, cached-detection receiver).
 //
 // Two link topologies:
-//  - kPerChannel: every channel gets its own private radio (the PR-1
-//    engine), seeded Rng(link.seed ^ i).
-//  - kSharedAer: all encoders contend for ONE radio. The encode stage
-//    fans into an AER arbiter (address + code frames), the merged stream
-//    crosses one channel::propagate instance, and the receiver demuxes
-//    decoded addresses back into per-channel reconstructions.
+//  - kPerChannel: every channel gets its own private radio, seeded
+//    Rng(link.seed ^ i), through the batch link chain.
+//  - kSharedAer: all encoders contend for ONE radio. The records are fed
+//    in lockstep rounds through one SharedAerStreamingSession (AER
+//    arbiter, one radio, demux, per-channel reconstruction and the
+//    TX <-> RX ledger); its envelopes are then scored per channel. The
+//    streaming reconstructor inverts rates only, so shared mode rejects
+//    the code-duty decode mode, and lockstep rounds need records of one
+//    length and sample rate.
 //
 // Determinism contract: channel i draws from Rng(link.seed ^ i) (per-
 // channel mode) or the single shared radio draws from Rng(link.seed)
@@ -72,6 +75,7 @@ struct SharedLinkReport {
   std::size_t pulses_erased{0};
   std::size_t events_rx{0};  ///< decoded frames before the demux
   uwb::DecodeStats decode{};
+  uwb::AerLedgerCounts ledger{};  ///< decoded frames vs sent events
 };
 
 struct BatchReport {
@@ -121,10 +125,12 @@ class PipelineRunner {
       std::span<const emg::Recording> recordings, ThreadPool* pool) const;
   [[nodiscard]] BatchReport run_shared(
       std::span<const emg::Recording> recordings, ThreadPool* pool) const;
-  /// Reconstructs rx (and tx when scored) and scores them against one
-  /// ground truth.
+  /// Scores the envelope `rx_envelope()` returns (and the reconstruction
+  /// of `tx` when scored) against one ground truth.
+  template <typename RxEnvelope>
   void score(const emg::Recording& rec, const core::EventStream& tx,
-             const core::EventStream& rx, Real& rx_pct, Real& tx_pct) const;
+             const RxEnvelope& rx_envelope, Real& rx_pct,
+             Real& tx_pct) const;
 };
 
 }  // namespace datc::runtime

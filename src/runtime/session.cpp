@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/reconstruct.hpp"
 #include "core/streaming.hpp"
 #include "core/streaming_reconstruct.hpp"
+#include "core/symbols.hpp"
 #include "dsp/types.hpp"
+#include "emg/evaluation.hpp"
 #include "runtime/thread_pool.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
@@ -52,6 +55,18 @@ LinkRngs link_rngs(std::uint64_t seed) {
 }
 
 }  // namespace
+
+SessionConfig make_session_config(const emg::EvalConfig& eval,
+                                  const uwb::LinkConfig& link,
+                                  core::CalibrationPtr calibration) {
+  SessionConfig cfg;
+  cfg.encoder = emg::datc_encoder_config(eval);
+  cfg.analog_fs_hz = eval.analog_fs_hz;
+  cfg.link = link;
+  cfg.recon = emg::datc_reconstruction_config(eval);
+  cfg.calibration = std::move(calibration);
+  return cfg;
+}
 
 SessionReport session_report_delta(const SessionReport& after,
                                    const SessionReport& before) {
@@ -226,6 +241,8 @@ SharedAerStreamingSession::SharedAerStreamingSession(
                                 shared.aer.address_bits,
                                 shared.cache_detection),
                 config.link.channel, link_rngs(config.link.seed).rx),
+      ledger_(shared.aer, uwb::aer_frame_duration_s(frame_modulator(config),
+                                                    shared.aer.address_bits)),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
                "SharedAerStreamingSession: null calibration");
@@ -269,6 +286,12 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
   if (event_tee_ && !decoded_chunk_.empty()) {
     event_tee_(decoded_chunk_.events());
   }
+
+  ledger_.push_sent(merged_chunk_.events());
+  ledger_.push_decoded(decoded_chunk_.events());
+  ledger_.advance(merged_watermark,
+                  flush ? std::numeric_limits<Real>::infinity()
+                        : receiver_.event_time_watermark());
 
   // Decode health is link-wide in shared mode: one radio, one monitor.
   // The garbage signal is demux address errors (decoded frames whose

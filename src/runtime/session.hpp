@@ -1,16 +1,17 @@
 #pragma once
 // Streaming session engine: the full D-ATC chain — encode -> modulate ->
 // channel -> decode -> reconstruct — run incrementally on sample chunks
-// with O(chunk + window) working set, for long-lived sessions the batch
-// PipelineRunner cannot serve (it needs the whole recording, the whole
-// event stream and the whole pulse train in memory before scoring).
+// with O(chunk + window) working set. Long-lived sessions and the daemon
+// feed it chunk by chunk; PipelineRunner's shared-AER mode feeds whole
+// records through it in lockstep rounds.
 //
 // Bit-identicality contract: for the same seeds, a session fed any
 // chunking of a recording emits exactly the events, decoded stream and
-// ARV samples of the batch pipeline (run_channel / run_shared). Each
-// stage guarantees this through watermarks and split Rng streams — see
+// ARV samples of the batch link chain (run_datc_over_link /
+// run_aer_over_link plus the batch reconstructor). Each stage guarantees
+// this through watermarks and split Rng streams — see
 // uwb/streaming_link.hpp and core/streaming_reconstruct.hpp. Tests sweep
-// chunk sizes {1, 7, 64, 4096, whole record} against the batch engine.
+// chunk sizes {1, 7, 64, 4096, whole record} against the batch chain.
 //
 // SessionManager multiplexes many concurrent sessions over the thread
 // pool: chunks of one session run strictly in submission order (a strand),
@@ -35,6 +36,7 @@
 #include "core/reconstruct.hpp"
 #include "core/streaming.hpp"
 #include "core/streaming_reconstruct.hpp"
+#include "emg/evaluation.hpp"
 #include "fault/health.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
@@ -48,9 +50,9 @@ class ThreadPool;
 
 using dsp::Real;
 
-/// Everything one streaming channel needs; sim::make_session_config
-/// derives it from the batch EvalConfig + LinkConfig so the streaming and
-/// batch pipelines are parameterised identically.
+/// Everything one streaming channel needs; make_session_config derives it
+/// from the batch EvalConfig + LinkConfig so the streaming and batch
+/// pipelines are parameterised identically.
 struct SessionConfig {
   core::DatcEncoderConfig encoder{};
   Real analog_fs_hz{2500.0};
@@ -65,6 +67,12 @@ struct SessionConfig {
   /// SessionReport::arv_held / events_quarantined).
   fault::LinkHealthConfig health{};
 };
+
+/// The ONE EvalConfig + LinkConfig -> SessionConfig mapping (encoder,
+/// analog rate, link, reconstruction); health stays disabled.
+[[nodiscard]] SessionConfig make_session_config(
+    const emg::EvalConfig& eval, const uwb::LinkConfig& link,
+    core::CalibrationPtr calibration);
 
 /// Cumulative per-session counters. SessionManager consumers read either
 /// the running totals or the delta since their last poll.
@@ -173,7 +181,9 @@ class StreamingSession final : public Session {
 /// in its heap (time, channel) order; then one radio chain, and
 /// per-channel reconstructors after the demux. Chunks arrive in lockstep
 /// rounds: push_chunk takes the samples of ALL channels, channel-major
-/// ([ch0 k samples][ch1 k samples]...).
+/// ([ch0 k samples][ch1 k samples]...). An AerLedger matches the decoded
+/// frames against the sent events chunk by chunk, so misrouted frames
+/// are counted even where every address is valid.
 class SharedAerStreamingSession final : public Session {
  public:
   SharedAerStreamingSession(const SessionConfig& config,
@@ -195,6 +205,11 @@ class SharedAerStreamingSession final : public Session {
   [[nodiscard]] const uwb::AerStats& demux_stats() const { return demux_; }
   [[nodiscard]] const uwb::DecodeStats& decode_stats() const {
     return receiver_.stats();
+  }
+  /// TX <-> RX ledger over every frame settled so far (all of them once
+  /// finished).
+  [[nodiscard]] const uwb::AerLedgerCounts& ledger() const {
+    return ledger_.counts();
   }
   [[nodiscard]] std::size_t num_channels() const { return encoders_.size(); }
   [[nodiscard]] const core::EventStream& rx_events(std::size_t channel) const {
@@ -219,6 +234,7 @@ class SharedAerStreamingSession final : public Session {
   uwb::StreamingModulator modulator_;
   uwb::StreamingChannel channel_;
   uwb::StreamingUwbReceiver receiver_;
+  uwb::AerLedger ledger_;
   std::vector<std::unique_ptr<core::StreamingDatcReconstructor>>
       reconstructors_;
   uwb::AerStats demux_{};

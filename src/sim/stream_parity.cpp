@@ -12,7 +12,9 @@
 #include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
 #include "store/recorder.hpp"
+#include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
+#include "uwb/modulator.hpp"
 
 namespace datc::sim {
 
@@ -62,18 +64,6 @@ store::SessionManifest make_session_manifest(const emg::EvalConfig& eval,
   return m;
 }
 
-runtime::SessionConfig make_session_config(const emg::EvalConfig& eval,
-                                           const uwb::LinkConfig& link,
-                                           core::CalibrationPtr calibration) {
-  runtime::SessionConfig cfg;
-  cfg.encoder = emg::datc_encoder_config(eval);
-  cfg.analog_fs_hz = eval.analog_fs_hz;
-  cfg.link = link;
-  cfg.recon = emg::datc_reconstruction_config(eval);
-  cfg.calibration = std::move(calibration);
-  return cfg;
-}
-
 StreamParityResult check_stream_output(const dsp::TimeSeries& emg_v,
                                        const emg::EvalConfig& eval,
                                        const uwb::LinkConfig& link,
@@ -112,7 +102,7 @@ StreamParityResult check_stream_parity(const dsp::TimeSeries& emg_v,
                                        std::size_t chunk_size,
                                        std::uint32_t channel_id) {
   // Streaming session, fed in chunks.
-  auto session_cfg = make_session_config(eval, link, calibration);
+  auto session_cfg = runtime::make_session_config(eval, link, calibration);
   session_cfg.keep_rx_events = true;
   runtime::StreamingSession session(session_cfg, channel_id);
   const auto& samples = emg_v.samples();
@@ -163,7 +153,7 @@ StreamParityResult check_shared_stream_parity(
   }
 
   // ---- streaming shared session, lockstep channel-major rounds.
-  auto session_cfg = make_session_config(eval, link, calibration);
+  auto session_cfg = runtime::make_session_config(eval, link, calibration);
   session_cfg.keep_rx_events = true;
   runtime::SharedAerStreamingSession session(session_cfg, shared, n_ch);
   const std::size_t chunk = effective_chunk(chunk_size, n_samples);
@@ -197,11 +187,20 @@ StreamParityResult check_shared_stream_parity(
                                     per.max_abs_arv_diff);
     if (!per.arv_equal) out.arv_equal = false;
   }
-  // The arbiter and demux accounting must agree as well.
+  // The arbiter, demux and TX <-> RX ledger accounting must agree as well.
+  uwb::ModulatorConfig frame = link.modulator;
+  frame.code_bits = eval.dtc.dac_bits;
+  uwb::AerLedger ledger(shared.aer, uwb::aer_frame_duration_s(
+                                        frame, shared.aer.address_bits));
+  ledger.push_sent(link_run.merged_tx.events());
+  ledger.push_decoded(link_run.merged_rx.events());
+  const Real inf = std::numeric_limits<Real>::infinity();
+  ledger.advance(inf, inf);
   if (session.arbiter_stats().sent != link_run.arbiter.sent ||
       session.arbiter_stats().dropped != link_run.arbiter.dropped ||
       session.demux_stats().invalid_address !=
-          link_run.demux.invalid_address) {
+          link_run.demux.invalid_address ||
+      session.ledger() != ledger.counts()) {
     out.events_equal = false;
   }
   return out;

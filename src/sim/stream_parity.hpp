@@ -19,12 +19,6 @@
 
 namespace datc::sim {
 
-/// Streaming-session parameterisation mirroring the batch engine exactly
-/// (PipelineRunner::run_channel and Evaluator::reconstruct_datc).
-[[nodiscard]] runtime::SessionConfig make_session_config(
-    const emg::EvalConfig& eval, const uwb::LinkConfig& link,
-    core::CalibrationPtr calibration);
-
 /// The replay manifest for a session parameterised by `eval` — the ONE
 /// EvalConfig -> SessionManifest mapping (CLI `record`, bench_store and
 /// the replay tests all share it, so a new replay-relevant parameter
@@ -64,7 +58,10 @@ struct StreamParityResult {
 
 /// Shared-AER mode: every signal is one contending channel, chunks arrive
 /// in lockstep rounds of `chunk_size` samples per channel. Compared
-/// against the batch run_aer_over_link + per-channel reconstruction.
+/// against the batch run_aer_over_link + per-channel reconstruction;
+/// `events_equal` also requires equal arbiter and demux counts, and the
+/// session's ledger to equal one AerLedger pass over the batch run's
+/// whole merged TX and RX streams.
 [[nodiscard]] StreamParityResult check_shared_stream_parity(
     std::span<const dsp::TimeSeries> channels, const emg::EvalConfig& eval,
     const uwb::LinkConfig& link, const uwb::SharedAerConfig& shared,

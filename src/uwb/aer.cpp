@@ -2,9 +2,23 @@
 #include "uwb/aer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace datc::uwb {
+
+namespace {
+
+/// Drops the consumed prefix [0, head) once it is at least half the
+/// buffer: amortised O(1) moves per element.
+void reclaim(std::vector<core::Event>& buf, std::size_t& head) {
+  if (head > 0 && 2 * head >= buf.size()) {
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+}  // namespace
 
 AerArbiter::AerArbiter(const AerConfig& config, std::size_t num_channels)
     : config_(config), queues_(num_channels) {
@@ -30,13 +44,7 @@ void AerArbiter::push(std::size_t channel,
     q.last_time = e.time_s;
   }
   const bool was_empty = q.head == q.events.size();
-  // Reclaim the popped prefix once it is at least half the queue:
-  // amortised O(1) moves per event.
-  if (q.head > 0 && 2 * q.head >= q.events.size()) {
-    q.events.erase(q.events.begin(),
-                   q.events.begin() + static_cast<std::ptrdiff_t>(q.head));
-    q.head = 0;
-  }
+  reclaim(q.events, q.head);
   q.events.insert(q.events.end(), events.begin(), events.end());
   if (was_empty) {
     heap_.push_back(Front{q.events[q.head].time_s,
@@ -103,6 +111,59 @@ void AerArbiter::sift_down(std::size_t i) {
     i = child;
   }
   heap_[i] = f;
+}
+
+AerLedger::AerLedger(const AerConfig& config, Real frame_duration_s)
+    : window_s_(0.5 * (config.min_spacing_s > 0.0 ? config.min_spacing_s
+                                                  : frame_duration_s)) {
+  dsp::require(window_s_ > 0.0, "AerLedger: match window must be positive");
+}
+
+void AerLedger::push_sent(std::span<const core::Event> sent) {
+  reclaim(sent_, sent_head_);
+  sent_.insert(sent_.end(), sent.begin(), sent.end());
+}
+
+void AerLedger::push_decoded(std::span<const core::Event> decoded) {
+  reclaim(decoded_, decoded_head_);
+  decoded_.insert(decoded_.end(), decoded.begin(), decoded.end());
+}
+
+void AerLedger::advance(Real sent_watermark, Real decoded_watermark) {
+  // A frame is settled once no future sent event can lie within the
+  // window: such an event is at or after the watermark, and subtraction
+  // rounds monotonically, so its distance tests at least this far.
+  while (decoded_head_ < decoded_.size() &&
+         sent_watermark - decoded_[decoded_head_].time_s > window_s_) {
+    const core::Event& r = decoded_[decoded_head_++];
+    while (sent_head_ < sent_.size() &&
+           sent_[sent_head_].time_s < r.time_s - window_s_) {
+      ++sent_head_;
+    }
+    if (sent_head_ < sent_.size() &&
+        std::abs(sent_[sent_head_].time_s - r.time_s) <= window_s_) {
+      const core::Event& t = sent_[sent_head_++];
+      ++counts_.matched;
+      if (t.channel != r.channel) {
+        ++counts_.address_errors;
+      } else if (t.vth_code != r.vth_code) {
+        ++counts_.code_errors;
+      }
+    } else {
+      ++counts_.spurious;
+    }
+  }
+  // Every frame still to settle is at or after `oldest`, so it would pass
+  // over the sent events this far behind it: drop them now, which bounds
+  // the buffer on a link that decodes nothing.
+  const Real oldest = decoded_head_ < decoded_.size()
+                          ? std::min(decoded_[decoded_head_].time_s,
+                                     decoded_watermark)
+                          : decoded_watermark;
+  while (sent_head_ < sent_.size() &&
+         sent_[sent_head_].time_s < oldest - window_s_) {
+    ++sent_head_;
+  }
 }
 
 core::EventStream aer_merge(const std::vector<core::EventStream>& channels,

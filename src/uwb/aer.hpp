@@ -5,7 +5,8 @@
 // colliding events are delayed (queued) or dropped beyond a configurable
 // latency budget — the trade-off the multi-channel glove system of ref.
 // [12] navigates. The batch merge and the streaming shared-AER session
-// both run it.
+// both run it. One ledger (AerLedger) matches the decoded frames back to
+// the sent events, counting misrouted and corrupted frames.
 
 #include <cstdint>
 #include <limits>
@@ -86,6 +87,53 @@ class AerArbiter {
   static bool before(const Front& a, const Front& b);
   void sift_down(std::size_t i);
   void sift_up(std::size_t i);
+};
+
+/// TX <-> RX accounting of one shared AER link.
+struct AerLedgerCounts {
+  std::size_t matched{0};         ///< decoded frames matched to a sent event
+  std::size_t address_errors{0};  ///< matched, but to another channel
+  std::size_t code_errors{0};     ///< matched, right channel, wrong code
+  std::size_t spurious{0};        ///< decoded frames with no sent counterpart
+
+  friend bool operator==(const AerLedgerCounts&,
+                         const AerLedgerCounts&) = default;
+};
+
+/// Greedy two-pointer match of the decoded frames against the sent
+/// (arbitrated) events, fed incrementally. Each decoded frame, in time
+/// order, takes the oldest unmatched sent event within `window_s` of it;
+/// older sent events are passed over for good. The window is half the
+/// arbiter spacing, or half the frame airtime when the spacing is 0: sent
+/// events are at least that far apart, so each matches at most one frame.
+///
+/// A frame is matched only once the sent watermark has passed its time
+/// plus the window, so the counts equal the one-pass match over the whole
+/// streams for any chunking.
+class AerLedger {
+ public:
+  AerLedger(const AerConfig& config, Real frame_duration_s);
+
+  /// Appends sent events (time-ordered, no earlier than those already
+  /// pushed) and decoded frames (likewise).
+  void push_sent(std::span<const core::Event> sent);
+  void push_decoded(std::span<const core::Event> decoded);
+
+  /// Settles every frame that no future sent event can match: every event
+  /// sent from now on has time_s >= `sent_watermark`, and every frame
+  /// decoded from now on has time_s >= `decoded_watermark`. Infinity for
+  /// both settles everything.
+  void advance(Real sent_watermark, Real decoded_watermark);
+
+  [[nodiscard]] const AerLedgerCounts& counts() const { return counts_; }
+
+ private:
+  Real window_s_;
+  std::vector<core::Event> sent_;  ///< unmatched window is [sent_head_, size)
+  std::size_t sent_head_{0};
+  std::vector<core::Event> decoded_;  ///< unsettled window likewise
+  std::size_t decoded_head_{0};
+  AerLedgerCounts counts_{};
 };
 
 /// Merges per-channel event streams into one arbitrated AER stream:

@@ -60,18 +60,9 @@ SharedAerRun run_aer_over_link(
   // An empty batch is a no-op, as in the per-channel mode (aer_split
   // would otherwise reject num_channels == 0 deep inside the pipeline).
   if (tx_channels.empty()) return SharedAerRun{};
-  const auto num_channels = static_cast<unsigned>(tx_channels.size());
-  AerStats arbiter;
-  const auto merged = aer_merge(tx_channels, shared.aer, &arbiter);
-  auto out = run_aer_over_link(merged, num_channels, link, shared, code_bits);
-  out.arbiter = arbiter;
-  return out;
-}
+  SharedAerRun out;
+  out.merged_tx = aer_merge(tx_channels, shared.aer, &out.arbiter);
 
-SharedAerRun run_aer_over_link(const core::EventStream& merged_tx,
-                               unsigned num_channels, const LinkConfig& link,
-                               const SharedAerConfig& shared,
-                               unsigned code_bits) {
   UwbReceiverConfig rxc;
   rxc.modulator = link.modulator;
   rxc.modulator.code_bits = code_bits;
@@ -79,16 +70,15 @@ SharedAerRun run_aer_over_link(const core::EventStream& merged_tx,
   rxc.decode_codes = true;
   rxc.cache_detection = shared.cache_detection;
   auto air = receive_over_link(
-      modulate_aer(merged_tx, rxc.modulator, shared.aer.address_bits), link,
-      rxc);
-
-  SharedAerRun out;
-  out.merged_tx = merged_tx;
+      modulate_aer(out.merged_tx, rxc.modulator, shared.aer.address_bits),
+      link, rxc);
   out.merged_rx = std::move(air.events_rx);
   out.pulses_tx = air.pulses_tx;
   out.pulses_erased = air.pulses_erased;
   out.decode = air.decode;
-  out.per_channel_rx = aer_split(out.merged_rx, num_channels, &out.demux);
+  out.per_channel_rx =
+      aer_split(out.merged_rx, static_cast<unsigned>(tx_channels.size()),
+                &out.demux);
   return out;
 }
 

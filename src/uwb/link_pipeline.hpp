@@ -1,10 +1,10 @@
 #pragma once
-// The shared TX -> RX link stage: modulate an event stream, propagate it
+// The batch TX -> RX link stage: modulate an event stream, propagate it
 // through the channel, decode with the energy-detection receiver. The
-// batch engine (runtime::PipelineRunner), the link sweep and the
-// streaming parity checks run their radio through these functions, and
-// the streaming sessions derive their Rng streams and receiver exactly
-// as they do, so the paths cannot drift.
+// batch engine's private radios (runtime::PipelineRunner::run_channel)
+// run through these functions, and so does the streaming parity
+// reference; the streaming sessions derive their Rng streams and
+// receiver exactly as they do, so the paths cannot drift.
 
 #include <cstdint>
 #include <vector>
@@ -63,18 +63,10 @@ struct SharedAerRun {
   DecodeStats decode{};
 };
 
+/// The batch reference that the streaming shared-AER session is checked
+/// against (sim::check_shared_stream_parity).
 [[nodiscard]] SharedAerRun run_aer_over_link(
     const std::vector<core::EventStream>& tx_channels, const LinkConfig& link,
     const SharedAerConfig& shared, unsigned code_bits);
-
-/// Radio-only variant for an already-arbitrated stream: modulate ->
-/// channel -> decode -> demux, leaving `arbiter` stats zeroed (the caller
-/// owns the merge). Sweeps whose grid axes touch only the radio hoist the
-/// merge out of the loop with this overload.
-[[nodiscard]] SharedAerRun run_aer_over_link(const core::EventStream& merged_tx,
-                                             unsigned num_channels,
-                                             const LinkConfig& link,
-                                             const SharedAerConfig& shared,
-                                             unsigned code_bits);
 
 }  // namespace datc::uwb

@@ -243,7 +243,7 @@ TEST(FactoryParityTest, StreamingSessionMatchesLegacyBatchPath) {
     EXPECT_GT(r.events_batch, 0u);
   }
   // And the factory's own session must equal a hand-built one.
-  const auto legacy_cfg = sim::make_session_config(
+  const auto legacy_cfg = runtime::make_session_config(
       factory.eval_config(), factory.link_config(), factory.calibration());
   auto session_a = factory.make_streaming_session(0);
   runtime::StreamingSession session_b(legacy_cfg, 0);

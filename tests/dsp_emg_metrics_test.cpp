@@ -68,10 +68,10 @@ TEST(MedianFrequency, RejectsDegenerateInput) {
 TEST(Goertzel, MeasuresToneAmplitude) {
   const auto x = tone(50.0, 2500.0, 5000, 0.4);
   // goertzel_power ~ A^2 at the tone frequency.
-  EXPECT_NEAR(dsp::goertzel_power(x, 2500.0, 50.0), 0.16, 0.02);
+  EXPECT_NEAR(testutil::goertzel_power(x, 2500.0, 50.0), 0.16, 0.02);
   // Far from the tone: near zero.
-  EXPECT_LT(dsp::goertzel_power(x, 2500.0, 700.0), 0.005);
-  EXPECT_THROW((void)dsp::goertzel_power(x, 2500.0, 2000.0),
+  EXPECT_LT(testutil::goertzel_power(x, 2500.0, 700.0), 0.005);
+  EXPECT_THROW((void)testutil::goertzel_power(x, 2500.0, 2000.0),
                std::invalid_argument);
 }
 

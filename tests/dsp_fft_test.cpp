@@ -131,9 +131,9 @@ TEST(Welch, ShortRecordStillProducesEstimate) {
 
 TEST(Psd, DbmConversion) {
   // 1 V^2/Hz across 50 ohm = 20 mW/Hz = 2e7 mW/MHz = 73 dBm/MHz.
-  EXPECT_NEAR(dsp::psd_to_dbm_per_mhz(1.0, 50.0), 73.01, 0.02);
-  EXPECT_LT(dsp::psd_to_dbm_per_mhz(0.0), -250.0);
-  EXPECT_THROW((void)dsp::psd_to_dbm_per_mhz(1.0, 0.0),
+  EXPECT_NEAR(testutil::psd_to_dbm_per_mhz(1.0, 50.0), 73.01, 0.02);
+  EXPECT_LT(testutil::psd_to_dbm_per_mhz(0.0), -250.0);
+  EXPECT_THROW((void)testutil::psd_to_dbm_per_mhz(1.0, 0.0),
                std::invalid_argument);
 }
 

@@ -584,7 +584,7 @@ TEST(EnvelopeHoldTest, StarvationHoldsEnvelopeDeterministically) {
   link.seed = 17;
   link.channel.distance_m = 0.6;  // a link that actually closes
   link.channel.ref_loss_db = 30.0;
-  auto cfg = sim::make_session_config(eval, link, test_calibration());
+  auto cfg = runtime::make_session_config(eval, link, test_calibration());
   cfg.health.starvation_s = 0.3;
 
   const auto run = [&] {

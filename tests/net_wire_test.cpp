@@ -52,7 +52,9 @@ TEST(NetWireTest, HelloRoundTripsEveryField) {
   h.channel_id = 41;
   h.tenant = "ward-3.bed_12";
   h.scenario = "paper-baseline";
-  const wire::Frame f = decode_one(wire::encode_hello(h));
+  std::vector<std::uint8_t> bytes;
+  wire::append_hello(bytes, h);
+  const wire::Frame f = decode_one(bytes);
   ASSERT_EQ(f.type, wire::FrameType::kHello);
   EXPECT_EQ(f.hello.version, 7);
   EXPECT_EQ(f.hello.channel_count, 64);
@@ -68,8 +70,9 @@ TEST(NetWireTest, DataSamplesAreBitExact) {
       0.1, -0.3333333333333333, 5e-324, -0.0, 0.0,
       std::numeric_limits<Real>::max(), std::numeric_limits<Real>::lowest(),
       1.6180339887498949};
-  const wire::Frame f =
-      decode_one(wire::encode_data(1234567890123ULL, 42, samples));
+  std::vector<std::uint8_t> bytes;
+  wire::append_data(bytes, 1234567890123ULL, 42, samples);
+  const wire::Frame f = decode_one(bytes);
   ASSERT_EQ(f.type, wire::FrameType::kData);
   EXPECT_EQ(f.data.session_id, 1234567890123ULL);
   EXPECT_EQ(f.data.seq, 42u);
@@ -87,7 +90,9 @@ TEST(NetWireTest, ControlAndEndRoundTrip) {
   c.session_id = 9;
   c.value = static_cast<std::uint64_t>(wire::ErrorCode::kBadSequence);
   c.message = "expected seq 3, got 7";
-  const wire::Frame fc = decode_one(wire::encode_control(c));
+  std::vector<std::uint8_t> control;
+  wire::append_control(control, c);
+  const wire::Frame fc = decode_one(control);
   ASSERT_EQ(fc.type, wire::FrameType::kControl);
   EXPECT_EQ(fc.control.code, wire::ControlCode::kError);
   EXPECT_EQ(fc.control.session_id, 9u);
@@ -95,7 +100,9 @@ TEST(NetWireTest, ControlAndEndRoundTrip) {
             static_cast<std::uint64_t>(wire::ErrorCode::kBadSequence));
   EXPECT_EQ(fc.control.message, "expected seq 3, got 7");
 
-  const wire::Frame fe = decode_one(wire::encode_end(77));
+  std::vector<std::uint8_t> end;
+  wire::append_end(end, 77);
+  const wire::Frame fe = decode_one(end);
   ASSERT_EQ(fe.type, wire::FrameType::kEnd);
   EXPECT_EQ(fe.end.session_id, 77u);
 }
@@ -153,7 +160,8 @@ TEST(NetWireTest, EveryTwoPartSplitDecodesIdentically) {
 }
 
 TEST(NetWireTest, TruncatedFrameWaitsForTheRest) {
-  const auto bytes = wire::encode_data(1, 0, std::vector<Real>{1.0});
+  std::vector<std::uint8_t> bytes;
+  wire::append_data(bytes, 1, 0, std::vector<Real>{1.0});
   wire::FrameDecoder dec;
   dec.feed(std::span<const std::uint8_t>(bytes.data(), bytes.size() - 1));
   wire::Frame f;
@@ -172,7 +180,9 @@ TEST(NetWireTest, ZeroLengthFrameIsFatalAndSticky) {
   EXPECT_EQ(dec.next(&f, &reason), wire::FrameDecoder::Status::kFatal);
   EXPECT_NE(reason.find("zero-length"), std::string::npos);
   // Sticky: even a valid frame afterwards cannot resurrect the stream.
-  dec.feed(wire::encode_end(1));
+  std::vector<std::uint8_t> end;
+  wire::append_end(end, 1);
+  dec.feed(end);
   EXPECT_EQ(dec.next(&f, &reason), wire::FrameDecoder::Status::kFatal);
 }
 
@@ -238,7 +248,9 @@ TEST(NetWireTest, MalformedPayloadsAreTypedBadFrames) {
     EXPECT_NE(reason.find(c.reason_substr), std::string::npos)
         << "got reason: " << reason;
     // The stream survives the bad payload.
-    dec.feed(wire::encode_end(1));
+    std::vector<std::uint8_t> end;
+    wire::append_end(end, 1);
+    dec.feed(end);
     EXPECT_EQ(dec.next(&f, &reason), wire::FrameDecoder::Status::kFrame)
         << c.reason_substr;
   }
@@ -260,7 +272,9 @@ TEST(NetWireTest, HugeDeclaredSampleCountIsABadFrameNotAnAllocation) {
   EXPECT_EQ(dec.next(&f, &reason), wire::FrameDecoder::Status::kBadFrame);
   EXPECT_NE(reason.find("overruns payload"), std::string::npos);
   // The stream survives the rejected frame.
-  dec.feed(wire::encode_end(1));
+  std::vector<std::uint8_t> end;
+  wire::append_end(end, 1);
+  dec.feed(end);
   EXPECT_EQ(dec.next(&f, &reason), wire::FrameDecoder::Status::kFrame);
 }
 
@@ -273,19 +287,24 @@ TEST(NetWireTest, OverlongMessageIsTruncatedToADecodableFrame) {
   c.session_id = 1;
   c.value = static_cast<std::uint64_t>(wire::ErrorCode::kUnknownScenario);
   c.message = std::string(4 * wire::kMaxStringLen, 'x');
-  const wire::Frame f = decode_one(wire::encode_control(c));
+  std::vector<std::uint8_t> control;
+  wire::append_control(control, c);
+  const wire::Frame f = decode_one(control);
   ASSERT_EQ(f.type, wire::FrameType::kControl);
   EXPECT_EQ(f.control.message, std::string(wire::kMaxStringLen, 'x'));
 
   wire::HelloBody h;
   h.tenant = std::string(300, 't');
-  const wire::Frame fh = decode_one(wire::encode_hello(h));
+  std::vector<std::uint8_t> hello;
+  wire::append_hello(hello, h);
+  const wire::Frame fh = decode_one(hello);
   ASSERT_EQ(fh.type, wire::FrameType::kHello);
   EXPECT_EQ(fh.hello.tenant, std::string(wire::kMaxStringLen, 't'));
 }
 
 TEST(NetWireTest, DataWithTrailingBytesIsBad) {
-  auto bytes = wire::encode_data(1, 0, std::vector<Real>{1.0});
+  std::vector<std::uint8_t> bytes;
+  wire::append_data(bytes, 1, 0, std::vector<Real>{1.0});
   bytes.push_back(0xAB);  // extend payload past the declared samples
   // Patch the length prefix to cover the extra byte.
   const auto len = static_cast<std::uint32_t>(bytes.size() - 4);
@@ -303,7 +322,8 @@ TEST(NetWireTest, DataWithTrailingBytesIsBad) {
 
 TEST(NetWireTest, LongLivedDecoderReclaimsItsBuffer) {
   wire::FrameDecoder dec;
-  const auto one = wire::encode_data(1, 0, std::vector<Real>(64, 0.5));
+  std::vector<std::uint8_t> one;
+  wire::append_data(one, 1, 0, std::vector<Real>(64, 0.5));
   for (int round = 0; round < 200; ++round) {
     dec.feed(one);
     wire::Frame f;

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include "aer_match_reference.hpp"
 #include "core/event_arena.hpp"
 #include "pipeline_reference.hpp"
 #include "runtime/pipeline_runner.hpp"
 #include "runtime/thread_pool.hpp"
 #include "uwb/aer.hpp"
+#include "uwb/link_pipeline.hpp"
 
 namespace {
 
@@ -32,6 +34,18 @@ std::vector<emg::Recording> make_channels(std::size_t n, Real duration_s) {
     recs.push_back(emg::make_recording(spec));
   }
   return recs;
+}
+
+std::vector<core::EventStream> encode_all(
+    const std::vector<emg::Recording>& recs, const emg::EvalConfig& eval) {
+  std::vector<core::EventStream> tx(recs.size());
+  for (std::size_t c = 0; c < recs.size(); ++c) {
+    core::EventArena arena;
+    core::encode_datc_events(recs[c].emg_v, emg::datc_encoder_config(eval),
+                             arena);
+    tx[c] = arena.take_stream();
+  }
+  return tx;
 }
 
 TEST(ThreadPool, RunsAllTasks) {
@@ -145,13 +159,7 @@ TEST(PipelineRunner, SharedAerNoiselessMatchesIdealRadio) {
   runtime::PipelineRunner real_radio(cfg);
   const auto over_air = real_radio.run(recs);
 
-  std::vector<core::EventStream> tx(recs.size());
-  for (std::size_t c = 0; c < recs.size(); ++c) {
-    core::EventArena arena;
-    core::encode_datc_events(recs[c].emg_v, emg::datc_encoder_config(cfg.eval),
-                             arena);
-    tx[c] = arena.take_stream();
-  }
+  const auto tx = encode_all(recs, cfg.eval);
   uwb::AerStats arb;
   uwb::AerStats demux;
   const auto ideal = uwb::aer_split(uwb::aer_merge(tx, cfg.shared.aer, &arb),
@@ -163,6 +171,8 @@ TEST(PipelineRunner, SharedAerNoiselessMatchesIdealRadio) {
   EXPECT_EQ(over_air.shared.pulses_erased, 0u);
   EXPECT_EQ(over_air.shared.demux.invalid_address, 0u);
   EXPECT_EQ(over_air.shared.events_rx, over_air.shared.arbiter.sent);
+  EXPECT_EQ(over_air.shared.ledger,
+            (uwb::AerLedgerCounts{arb.sent, 0, 0, 0}));
   const auto& eval = real_radio.evaluator();
   ASSERT_EQ(over_air.channels.size(), 8u);
   ASSERT_EQ(ideal.size(), 8u);
@@ -181,6 +191,91 @@ TEST(PipelineRunner, SharedAerNoiselessMatchesIdealRadio) {
               eval.score(recs[c], {recon}).front())
         << c;
   }
+}
+
+TEST(PipelineRunner, SharedModeMatchesBatchLinkAndReconstruction) {
+  // Shared mode runs the streaming session. On a noisy 8-channel link it
+  // must equal the batch link chain (run_aer_over_link) plus per-channel
+  // batch reconstruction exactly: events, both scores, the arbiter, demux
+  // and decode stats, and the ledger of the batch run's merged streams.
+  const auto recs = make_channels(8, 2.0);
+  runtime::RunnerConfig cfg;
+  cfg.jobs = 3;
+  cfg.keep_rx_events = true;
+  cfg.link_mode = runtime::LinkMode::kSharedAer;
+  cfg.link.seed = 31;
+  cfg.link.channel.distance_m = 0.9;
+  cfg.link.channel.ref_loss_db = 30.0;
+  cfg.link.channel.erasure_prob = 0.05;
+  cfg.shared.aer.address_bits = 3;
+  cfg.shared.aer.min_spacing_s = 2e-6;
+  runtime::PipelineRunner runner(cfg);
+  const auto report = runner.run(recs);
+
+  const auto tx = encode_all(recs, cfg.eval);
+  const auto batch =
+      uwb::run_aer_over_link(tx, cfg.link, cfg.shared, cfg.eval.dtc.dac_bits);
+  const auto& s = report.shared;
+  EXPECT_EQ(s.arbiter.in_events, batch.arbiter.in_events);
+  EXPECT_EQ(s.arbiter.sent, batch.arbiter.sent);
+  EXPECT_EQ(s.arbiter.dropped, batch.arbiter.dropped);
+  EXPECT_EQ(s.arbiter.max_delay_s, batch.arbiter.max_delay_s);
+  EXPECT_EQ(s.demux.in_events, batch.demux.in_events);
+  EXPECT_EQ(s.demux.sent, batch.demux.sent);
+  EXPECT_EQ(s.demux.invalid_address, batch.demux.invalid_address);
+  EXPECT_EQ(s.pulses_tx, batch.pulses_tx);
+  EXPECT_EQ(s.pulses_erased, batch.pulses_erased);
+  EXPECT_EQ(s.events_rx, batch.merged_rx.size());
+  EXPECT_EQ(s.decode.pulses_in, batch.decode.pulses_in);
+  EXPECT_EQ(s.decode.pulses_detected, batch.decode.pulses_detected);
+  EXPECT_EQ(s.decode.packets_decoded, batch.decode.packets_decoded);
+  EXPECT_EQ(s.decode.code_bit_ones_missed, batch.decode.code_bit_ones_missed);
+  EXPECT_EQ(s.decode.false_alarm_bits, batch.decode.false_alarm_bits);
+  const Real window = 0.5 * cfg.shared.aer.min_spacing_s;
+  EXPECT_EQ(s.ledger,
+            oracle::match_streams(batch.merged_tx, batch.merged_rx, window));
+  // The noisy link must actually corrupt frames for the ledger to show.
+  EXPECT_GT(s.ledger.address_errors + s.ledger.code_errors, 0u);
+  EXPECT_GT(s.pulses_erased, 0u);
+
+  const auto& eval = runner.evaluator();
+  ASSERT_EQ(report.channels.size(), recs.size());
+  for (std::size_t c = 0; c < recs.size(); ++c) {
+    const auto& ch = report.channels[c];
+    const auto& want = batch.per_channel_rx[c];
+    EXPECT_EQ(ch.channel, c);
+    EXPECT_EQ(ch.events_tx, tx[c].size()) << c;
+    EXPECT_EQ(ch.events_rx, want.size()) << c;
+    ASSERT_EQ(ch.rx_events.size(), want.size()) << c;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(ch.rx_events[k].time_s, want[k].time_s) << c;
+      EXPECT_EQ(ch.rx_events[k].vth_code, want[k].vth_code) << c;
+      EXPECT_EQ(ch.rx_events[k].channel, want[k].channel) << c;
+    }
+    const Real duration = recs[c].emg_v.duration_s();
+    const auto pct =
+        eval.score(recs[c], {eval.reconstruct_datc(want, duration),
+                             eval.reconstruct_datc(tx[c], duration)});
+    EXPECT_EQ(ch.rx_correlation_pct, pct[0]) << c;
+    EXPECT_EQ(ch.tx_correlation_pct, pct[1]) << c;
+  }
+}
+
+TEST(PipelineRunner, SharedModeRejectsUnequalRecordsAndCodeDuty) {
+  // Lockstep rounds need one record length; the streaming reconstructor
+  // inverts rates only, so the code-duty ablation stays with Evaluator.
+  runtime::RunnerConfig cfg;
+  cfg.link_mode = runtime::LinkMode::kSharedAer;
+  auto recs = make_channels(3, 1.0);
+  runtime::PipelineRunner equal(cfg);
+  EXPECT_NO_THROW((void)equal.run_serial(recs));
+  recs[2] = make_channels(3, 1.5)[2];
+  EXPECT_THROW((void)equal.run_serial(recs), std::invalid_argument);
+
+  cfg.eval.datc_mode = core::DatcDecodeMode::kCodeDuty;
+  runtime::PipelineRunner code_duty(cfg);
+  EXPECT_THROW((void)code_duty.run(make_channels(3, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(PipelineRunner, SharedModeEmptyBatchIsANoOp) {

@@ -70,7 +70,7 @@ TEST_F(StoreReplayTest, RecordedSessionReplaysBitIdentically) {
   const auto rec = make_channel(601, 3.0);
   const emg::EvalConfig eval;
   const auto link = noisy_link(29);
-  auto cfg = sim::make_session_config(eval, link, test_calibration());
+  auto cfg = runtime::make_session_config(eval, link, test_calibration());
   cfg.keep_rx_events = true;
   runtime::StreamingSession session(cfg, /*channel_id=*/2);
 
@@ -144,7 +144,7 @@ TEST_F(StoreReplayTest, ReplayRebuildsCalibrationFromManifest) {
   // compare two manifest-driven replays for determinism instead.
   const auto rec = make_channel(602, 1.5);
   const emg::EvalConfig eval;
-  auto cfg = sim::make_session_config(eval, noisy_link(31),
+  auto cfg = runtime::make_session_config(eval, noisy_link(31),
                                       test_calibration());
   runtime::StreamingSession session(cfg, 0);
   store::RecorderConfig rcfg;
@@ -175,7 +175,7 @@ TEST_F(StoreReplayTest, SessionManagerTeesIntoPerSessionDirectories) {
   // workers; every stored log must hold exactly its session's decoded
   // stream.
   const emg::EvalConfig eval;
-  auto cfg = sim::make_session_config(eval, noisy_link(37),
+  auto cfg = runtime::make_session_config(eval, noisy_link(37),
                                       test_calibration());
   cfg.keep_rx_events = true;
 

@@ -204,7 +204,7 @@ TEST(StreamingChannel, NoReorderFallbackOnAnyPresetTrain) {
 TEST(SessionManager, MultiplexedSessionsMatchDirectExecution) {
   const emg::EvalConfig eval;
   const auto link = noisy_link(51);
-  auto cfg = sim::make_session_config(eval, link, test_calibration());
+  auto cfg = runtime::make_session_config(eval, link, test_calibration());
   cfg.keep_rx_events = true;
 
   constexpr std::size_t kChannels = 5;
@@ -274,7 +274,8 @@ TEST(SessionManager, MultiplexedSessionsMatchDirectExecution) {
 
 TEST(SessionManager, ReportsDeltasAndPropagatesErrors) {
   const emg::EvalConfig eval;
-  auto cfg = sim::make_session_config(eval, noisy_link(5), test_calibration());
+  auto cfg =
+      runtime::make_session_config(eval, noisy_link(5), test_calibration());
   runtime::SessionManager manager({.jobs = 2, .max_pending_chunks = 1});
   auto owned = std::make_unique<runtime::StreamingSession>(cfg, 0);
   auto* session = owned.get();
@@ -307,7 +308,7 @@ TEST(SessionManager, InterleavedDeltaPollsSumToCumulativeTotals) {
   // session_report_delta. Both accountings must land exactly on the
   // cumulative report.
   const emg::EvalConfig eval;
-  auto cfg = sim::make_session_config(eval, noisy_link(77),
+  auto cfg = runtime::make_session_config(eval, noisy_link(77),
                                       test_calibration());
   runtime::StreamingSession session(cfg, 0);
   const auto rec = make_channel(901, 2.0, 0.35);

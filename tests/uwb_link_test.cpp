@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <limits>
 
+#include "aer_match_reference.hpp"
 #include "dsp/rng.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/channel.hpp"
@@ -514,6 +515,109 @@ TEST(AerArbiter, RejectsEventsOutOfTimeOrder) {
   EXPECT_THROW(arbiter.push(0, early), std::invalid_argument);
   arbiter.push(1, early);  // channels are ordered independently
   EXPECT_THROW(arbiter.push(2, early), std::invalid_argument);
+}
+
+/// Feeds `sent` and `decoded` to a ledger in random steps of up to
+/// `chunk` events each (0 = whole streams), advancing after every step
+/// with watermarks up to three slots below the next unpushed event.
+uwb::AerLedgerCounts ledger_counts(const core::EventStream& sent,
+                                   const core::EventStream& decoded,
+                                   const uwb::AerConfig& cfg,
+                                   std::size_t chunk, dsp::Rng& rng) {
+  const Real inf = std::numeric_limits<Real>::infinity();
+  uwb::AerLedger ledger(cfg, /*frame_duration_s=*/0.8e-6);
+  std::size_t si = 0;
+  std::size_t di = 0;
+  const auto step = [&](const core::EventStream& s, std::size_t& at) {
+    const std::size_t left = s.size() - at;
+    const std::size_t n =
+        chunk == 0 ? left : std::min<std::size_t>(left, rng.integer(0, chunk));
+    const std::span<const core::Event> part(s.events().data() + at, n);
+    at += n;
+    return part;
+  };
+  const auto watermark = [&](const core::EventStream& s, std::size_t at) {
+    return at < s.size() ? s[at].time_s - static_cast<Real>(rng.integer(
+                                              0, 3)) * cfg.min_spacing_s
+                         : inf;
+  };
+  while (si < sent.size() || di < decoded.size()) {
+    ledger.push_sent(step(sent, si));
+    ledger.push_decoded(step(decoded, di));
+    ledger.advance(watermark(sent, si), watermark(decoded, di));
+  }
+  ledger.advance(inf, inf);
+  return ledger.counts();
+}
+
+TEST(AerLedger, MatchesGreedyOracleForAnyChunking) {
+  // Sent events at least one slot (two windows) apart; each is decoded
+  // on time within +-0.7 windows, lost, misrouted or with a wrong code,
+  // and spurious frames fall between the slots.
+  uwb::AerConfig cfg;
+  cfg.min_spacing_s = 2e-6;
+  const Real w = 0.5 * cfg.min_spacing_s;
+  dsp::Rng rng(4242);
+  core::EventStream sent;
+  core::EventStream decoded;
+  Real t = 1e-4;
+  for (int i = 0; i < 4000; ++i) {
+    t += cfg.min_spacing_s * static_cast<Real>(1 + rng.integer(0, 3));
+    const auto ch = static_cast<std::uint16_t>(rng.integer(0, 7));
+    const auto code = static_cast<std::uint8_t>(rng.integer(0, 15));
+    sent.add(t, code, ch);
+    const Real jitter = w * (1.4 * rng.canonical() - 0.7);
+    switch (rng.integer(0, 9)) {
+      case 0:
+        break;  // lost on air
+      case 1:
+        decoded.add(t + jitter, code, static_cast<std::uint16_t>((ch + 1) % 8));
+        break;
+      case 2:
+        decoded.add(t + jitter, static_cast<std::uint8_t>((code + 1) % 16), ch);
+        break;
+      default:
+        decoded.add(t + jitter, code, ch);
+    }
+    if (rng.integer(0, 9) == 0) decoded.add(t + 0.8 * w, code, ch);
+  }
+  const auto want = oracle::match_streams(sent, decoded, w);
+  ASSERT_GT(want.matched, 3000u);
+  ASSERT_GT(want.address_errors, 100u);
+  ASSERT_GT(want.code_errors, 100u);
+  ASSERT_GT(want.spurious, 10u);
+  EXPECT_LT(want.matched, sent.size());  // some sent events never arrive
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{64}, std::size_t{0}}) {
+    EXPECT_EQ(ledger_counts(sent, decoded, cfg, chunk, rng), want)
+        << "chunk " << chunk;
+  }
+}
+
+/// Ledger of one sent event and one frame `offset_s` after it.
+uwb::AerLedgerCounts one_pair(const uwb::AerConfig& cfg, Real frame_s,
+                              Real offset_s) {
+  uwb::AerLedger ledger(cfg, frame_s);
+  const std::vector<core::Event> sent{{1e-3, 5, 2}};
+  const std::vector<core::Event> decoded{{1e-3 + offset_s, 5, 2}};
+  ledger.push_sent(sent);
+  ledger.push_decoded(decoded);
+  const Real inf = std::numeric_limits<Real>::infinity();
+  ledger.advance(inf, inf);
+  return ledger.counts();
+}
+
+TEST(AerLedger, WindowIsHalfTheSpacingOrHalfTheFrame) {
+  const uwb::AerLedgerCounts matched{1, 0, 0, 0};
+  const uwb::AerLedgerCounts spurious{0, 0, 0, 1};
+  uwb::AerConfig cfg;
+  cfg.min_spacing_s = 2e-6;
+  EXPECT_EQ(one_pair(cfg, 0.8e-6, 0.99e-6), matched);
+  EXPECT_EQ(one_pair(cfg, 0.8e-6, 1.01e-6), spurious);
+  cfg.min_spacing_s = 0.0;
+  EXPECT_EQ(one_pair(cfg, 0.8e-6, 0.39e-6), matched);
+  EXPECT_EQ(one_pair(cfg, 0.8e-6, 0.41e-6), spurious);
+  EXPECT_THROW(uwb::AerLedger(cfg, 0.0), std::invalid_argument);
 }
 
 /// Pulses tagged with their input position, so stability is visible.

@@ -34,7 +34,6 @@
 #include "net/server.hpp"
 #include "runtime/pipeline_runner.hpp"
 #include "runtime/session.hpp"
-#include "sim/link_sweep.hpp"
 #include "config/scenario_grid.hpp"
 #include "sim/stream_parity.hpp"
 #include "store/log.hpp"
@@ -77,29 +76,6 @@ std::string arg_str(const Args& a, const std::string& key,
                     const std::string& fallback) {
   const auto it = a.find(key);
   return it == a.end() ? fallback : it->second;
-}
-
-/// Comma-separated numeric list, e.g. --distances 0.5,1,2.
-std::vector<Real> arg_num_list(const Args& a, const std::string& key,
-                               std::vector<Real> fallback) {
-  const auto it = a.find(key);
-  if (it == a.end()) return fallback;
-  std::vector<Real> out;
-  std::istringstream ss(it->second);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) {
-    dsp::require(!cell.empty(), "--" + key + ": empty list element");
-    out.push_back(std::stod(cell));
-  }
-  dsp::require(!out.empty(), "--" + key + ": empty list");
-  return out;
-}
-
-/// Smallest AER address width covering `channels` endpoints.
-unsigned address_bits_for(std::size_t channels) {
-  unsigned bits = 0;
-  while ((std::size_t{1} << bits) < channels) ++bits;
-  return bits;
 }
 
 bool write_signal_csv(const std::string& path, const dsp::TimeSeries& sig) {
@@ -401,56 +377,17 @@ int cmd_pipeline(const Args& a) {
     std::printf(
         "shared AER link: %zu events offered, %zu sent (%zu dropped in "
         "arbitration, worst queue %.2f ms), %zu pulses on air (%zu erased), "
-        "%zu frames decoded, %zu bad addresses\n",
+        "%zu frames decoded, %zu bad addresses; ledger: %zu matched, %zu "
+        "address errors, %zu code errors, %zu spurious\n",
         s.arbiter.in_events, s.arbiter.sent, s.arbiter.dropped,
         s.arbiter.max_delay_s * 1e3, s.pulses_tx, s.pulses_erased,
-        s.events_rx, s.demux.invalid_address);
+        s.events_rx, s.demux.invalid_address, s.ledger.matched,
+        s.ledger.address_errors, s.ledger.code_errors, s.ledger.spurious);
   }
   std::printf(
       "%zu channel(s) on %zu job(s): %.1f ms wall, %.0fx realtime\n",
       report.channels.size(), runner->jobs(), report.wall_seconds * 1e3,
       report.throughput_x_realtime());
-  return 0;
-}
-
-int cmd_link_sweep(const Args& a) {
-  const Real channels_f = arg_num(a, "channels", 8.0);
-  dsp::require(channels_f >= 1.0 && channels_f <= 4096.0,
-               "link-sweep: --channels must lie in [1, 4096]");
-  sim::LinkSweepConfig cfg;
-  cfg.channels = static_cast<std::size_t>(channels_f);
-  cfg.duration_s = arg_num(a, "duration", 5.0);
-  dsp::require(cfg.duration_s > 0.0, "link-sweep: --duration must be > 0");
-  const Real seed_f = arg_num(a, "seed", 500.0);
-  dsp::require(seed_f >= 0.0, "link-sweep: --seed must be non-negative");
-  cfg.emg_seed = static_cast<std::uint64_t>(seed_f);
-  cfg.distances_m = arg_num_list(a, "distances", cfg.distances_m);
-  cfg.false_alarm_probs = arg_num_list(a, "pfa", cfg.false_alarm_probs);
-  for (const Real v : arg_num_list(a, "channel-counts", {})) {
-    dsp::require(v >= 1.0, "link-sweep: bad --channel-counts entry");
-    cfg.channel_counts.push_back(static_cast<std::size_t>(v));
-  }
-  cfg.shared.aer.address_bits = address_bits_for(cfg.channels);
-  const Real spacing_us = arg_num(a, "spacing-us", 2.0);
-  dsp::require(spacing_us >= 0.0, "link-sweep: --spacing-us must be >= 0");
-  cfg.shared.aer.min_spacing_s = spacing_us * 1e-6;
-
-  std::printf(
-      "shared AER link sweep: %zu channel(s) x %.1f s, %u address bit(s), "
-      "%.1f us slot\n",
-      cfg.channels, cfg.duration_s, cfg.shared.aer.address_bits, spacing_us);
-  const auto result = sim::run_link_sweep(cfg);
-  std::printf("%s", sim::link_sweep_table(result).c_str());
-
-  const auto out = arg_str(a, "out", "");
-  if (!out.empty()) {
-    if (!sim::write_link_sweep_json(out, cfg, result)) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu sweep point(s) to %s\n", result.points.size(),
-                out.c_str());
-  }
   return 0;
 }
 
@@ -1088,13 +1025,6 @@ constexpr Subcommand kSubcommands[] = {
      "  --distance D   TX-RX distance in metres (default 0.5)\n"
      "  --spacing-us U minimum AER on-air spacing (shared mode)\n",
      cmd_pipeline},
-    {"link-sweep", "sweep the shared AER link over a parameter grid",
-     "usage: datc link-sweep [--channels M] [--distances 0.5,1,2]\n"
-     "                       [--pfa 1e-6,...] [--channel-counts 2,4,8]\n"
-     "                       [--duration S] [--seed K] [--out FILE.json]\n"
-     "  Prints per-point correlation, drop %% and address-error %%;\n"
-     "  --out writes the JSON report (BENCH_link.json schema).\n",
-     cmd_link_sweep},
     {"stream", "run the full chain incrementally on sample chunks",
      "usage: datc stream [--in sig.csv|-] [--scenario FILE|PRESET]\n"
      "                   [--set \"k=v; k=v\"] [--chunk N] [--seed K]\n"
