@@ -728,13 +728,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   return out;
 }
 
-bool scenario_equal(const ScenarioSpec& a, const ScenarioSpec& b) {
-  for (const auto& k : scenario_keys()) {
-    if (k.get(a) != k.get(b)) return false;
-  }
-  return true;
-}
-
 // ----------------------------------------------------------------- presets
 
 namespace {

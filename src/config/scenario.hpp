@@ -219,10 +219,6 @@ void set_scenario_key(ScenarioSpec& spec, const std::string& key,
 /// Serializes every key (grouped, commented). parse(serialize(s)) == s.
 [[nodiscard]] std::string serialize_scenario(const ScenarioSpec& spec);
 
-/// Specs equal key-for-key (the round-trip identity the tests gate).
-[[nodiscard]] bool scenario_equal(const ScenarioSpec& a,
-                                  const ScenarioSpec& b);
-
 // ----------------------------------------------------------------- presets
 
 /// Names of the built-in presets, in display order. Each is also shipped

@@ -22,12 +22,14 @@ void bit_reverse_permute(std::vector<Complex>& x) {
   }
 }
 
-void fft_core(std::vector<Complex>& x, bool inverse) {
+}  // namespace
+
+void fft_inplace(std::vector<Complex>& x) {
   const std::size_t n = x.size();
   require(is_pow2(n), "fft: size must be a power of two");
   bit_reverse_permute(x);
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const Real ang = (inverse ? 2.0 : -2.0) * kPi / static_cast<Real>(len);
+    const Real ang = -2.0 * kPi / static_cast<Real>(len);
     const Complex wlen(std::cos(ang), std::sin(ang));
     for (std::size_t i = 0; i < n; i += len) {
       Complex w(1.0, 0.0);
@@ -40,16 +42,6 @@ void fft_core(std::vector<Complex>& x, bool inverse) {
       }
     }
   }
-}
-
-}  // namespace
-
-void fft_inplace(std::vector<Complex>& x) { fft_core(x, /*inverse=*/false); }
-
-void ifft_inplace(std::vector<Complex>& x) {
-  fft_core(x, /*inverse=*/true);
-  const Real inv_n = 1.0 / static_cast<Real>(x.size());
-  for (auto& v : x) v *= inv_n;
 }
 
 std::vector<Complex> fft_real(std::span<const Real> x) {

@@ -17,9 +17,6 @@ using Complex = std::complex<Real>;
 /// x.size() must be a power of two (>= 1).
 void fft_inplace(std::vector<Complex>& x);
 
-/// Inverse FFT (normalised by 1/N).
-void ifft_inplace(std::vector<Complex>& x);
-
 /// FFT of a real signal, zero-padded up to the next power of two.
 /// Returns the full complex spectrum of the padded length.
 [[nodiscard]] std::vector<Complex> fft_real(std::span<const Real> x);

@@ -1,7 +1,6 @@
 #include "dsp/types.hpp"
 #include "sim/table_writer.hpp"
 
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -77,13 +76,6 @@ std::string Table::to_csv() const {
     os << '\n';
   }
   return os.str();
-}
-
-bool Table::write_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f.good()) return false;
-  f << to_csv();
-  return f.good();
 }
 
 }  // namespace datc::sim

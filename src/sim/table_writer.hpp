@@ -25,9 +25,6 @@ class Table {
   /// RFC-4180-ish CSV rendering.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Writes the CSV to a file (returns false on I/O failure).
-  bool write_csv(const std::string& path) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

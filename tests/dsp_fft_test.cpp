@@ -21,6 +21,15 @@ using namespace datc;
 
 constexpr Real kTwoPi = 2.0 * std::numbers::pi_v<Real>;
 
+/// Inverse FFT (normalised by 1/N) through the forward transform:
+/// ifft(x) = conj(fft(conj(x))) / N.
+void ifft_inplace(std::vector<Complex>& x) {
+  for (auto& v : x) v = std::conj(v);
+  dsp::fft_inplace(x);
+  const Real inv_n = 1.0 / static_cast<Real>(x.size());
+  for (auto& v : x) v = std::conj(v) * inv_n;
+}
+
 class FftVsDftTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftVsDftTest, MatchesReferenceDft) {
@@ -46,7 +55,7 @@ TEST(Fft, RoundTripIdentity) {
   for (auto& v : x) v = Complex{rng.gaussian(), rng.gaussian()};
   auto y = x;
   dsp::fft_inplace(y);
-  dsp::ifft_inplace(y);
+  ifft_inplace(y);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(y[i].real(), x[i].real(), 1e-10);
     EXPECT_NEAR(y[i].imag(), x[i].imag(), 1e-10);

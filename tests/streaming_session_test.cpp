@@ -11,6 +11,7 @@
 #include <limits>
 #include <numeric>
 
+#include "aer_match_reference.hpp"
 #include "config/factory.hpp"
 #include "core/datc_encoder.hpp"
 #include "core/streaming.hpp"
@@ -18,6 +19,7 @@
 #include "runtime/session.hpp"
 #include "sim/stream_parity.hpp"
 #include "uwb/aer.hpp"
+#include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/streaming_link.hpp"
 
@@ -138,6 +140,70 @@ TEST_P(SharedStream64ParityTest, SixtyFourChannelsMatchBatchExactly) {
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, SharedStream64ParityTest,
                          ::testing::Values(1, 7, 64, 0));
+
+TEST(SharedAerSession, LedgerSettlesEachFrameInTheRoundThatDecodesIt) {
+  // Wide arbiter spacing (a 200 us ledger window) and short frames (7
+  // slots of 100 ns). The session's sent watermark is at least the last
+  // send time plus the spacing, and a frame is decoded only once the
+  // channel has released its whole window (12 jitter sigmas behind that
+  // watermark). So a decoded frame is settled in the round that decodes
+  // it, and no sent event still to come lies within its window. After
+  // every round the counts must equal the greedy match of the frames
+  // decoded so far; at the end, the one-pass match over the batch run's
+  // merged streams. (The ledger's own hold-back for frames the watermark
+  // has not passed is checked by AerLedger.MatchesGreedyOracleForAnyChunking;
+  // on this path it never binds.)
+  std::vector<dsp::TimeSeries> chans;
+  for (std::size_t c = 0; c < 4; ++c) {
+    chans.push_back(
+        make_channel(500 + c, 2.0, 0.25 + 0.1 * static_cast<Real>(c)).emg_v);
+  }
+  const emg::EvalConfig eval;
+  const auto link = noisy_link(37);
+  uwb::SharedAerConfig shared;
+  shared.aer.address_bits = 2;
+  shared.aer.min_spacing_s = 400e-6;
+  const Real window = 0.5 * shared.aer.min_spacing_s;
+
+  std::vector<core::EventStream> tx;
+  for (const auto& ch : chans) {
+    tx.push_back(
+        core::encode_datc_events(ch, emg::datc_encoder_config(eval)));
+  }
+  const auto batch =
+      uwb::run_aer_over_link(tx, link, shared, eval.dtc.dac_bits);
+
+  runtime::SharedAerStreamingSession session(
+      runtime::make_session_config(eval, link, test_calibration()), shared,
+      chans.size());
+  core::EventStream decoded;
+  session.set_event_tee([&decoded](std::span<const core::Event> events) {
+    for (const auto& e : events) decoded.add(e.time_s, e.vth_code, e.channel);
+  });
+  const std::size_t chunk = 7;
+  const std::size_t n = chans[0].size();
+  std::vector<Real> round;
+  for (std::size_t pos = 0; pos < n; pos += chunk) {
+    const std::size_t k = std::min(chunk, n - pos);
+    round.clear();
+    for (const auto& ch : chans) {
+      round.insert(round.end(),
+                   ch.samples().begin() + static_cast<long>(pos),
+                   ch.samples().begin() + static_cast<long>(pos + k));
+    }
+    session.push_chunk(round);
+    ASSERT_EQ(session.ledger(),
+              oracle::match_streams(batch.merged_tx, decoded, window))
+        << "round at sample " << pos << ", " << decoded.size()
+        << " frames decoded";
+  }
+  session.finish();
+  EXPECT_EQ(decoded.size(), batch.merged_rx.size());
+  EXPECT_EQ(session.ledger(),
+            oracle::match_streams(batch.merged_tx, batch.merged_rx, window));
+  EXPECT_GT(session.ledger().address_errors + session.ledger().code_errors,
+            0u);
+}
 
 // ------------------------------------------------------- reorder budget
 

@@ -27,6 +27,10 @@
 //   hot-alloc       The block kernel and per-pulse hot loops
 //                   (core/datc_block.hpp, uwb/receiver.cpp,
 //                   core/streaming_reconstruct.*) must not allocate.
+//   std-random      No std::*_distribution, std::mt19937* or
+//                   std::generate_canonical in src/ outside dsp/rng.hpp:
+//                   the standard leaves distribution mappings to the
+//                   library, and dsp::Rng defines the repository's own.
 //
 // Include-graph rules (tools/lint/include_graph.cpp) — one graph, five
 // rule families: include-cycle, layer-order (the src/ layer DAG),
@@ -350,8 +354,8 @@ int run_lint(const Options& opt) {
 ///
 /// Graph fixtures live in FIXTURE_DIR/graph/<case>/: a mini source tree
 /// plus an EXPECT file of `rule|relpath|line|message-substring` lines
-/// (or the single word `none`). The include-graph pass must reproduce
-/// exactly those diagnostics. A case with a DIFF file (one changed or
+/// (or the single word `none`). The include-graph pass and the file-scope
+/// rules over the case's root must reproduce exactly those diagnostics. A case with a DIFF file (one changed or
 /// deleted path per line, relative to the case) is filtered through the
 /// --diff scope first, as if those files differed from the base. A case holding a src/ directory is linted
 /// with src/ as the root, so its tools/, bench/, ... and tests/ sit
@@ -516,6 +520,13 @@ int run_self_test(const std::string& dir) {
                                    : case_dir;
     const IncludeGraph graph = IncludeGraph::build(case_root.string());
     auto findings = graph.check(spec);
+    for (const auto& entry : fs::recursive_directory_iterator(case_root)) {
+      if (!entry.is_regular_file() || !lintable(entry.path())) continue;
+      const auto file_findings = datc_lint::lint_source(
+          entry.path().generic_string(), read_file(entry.path()));
+      findings.insert(findings.end(), file_findings.begin(),
+                      file_findings.end());
+    }
     if (fs::is_regular_file(case_dir / "DIFF")) {
       std::set<std::string> changed;
       std::stringstream ss(read_file(case_dir / "DIFF"));

@@ -35,6 +35,10 @@ const std::vector<RuleInfo>& file_rules_impl() {
        "no per-sample scalar RNG draws (gaussian/gaussian_bm/uniform) "
        "inside the chunk loops of uwb/ and fault/ — batch them with "
        "Rng::fill_gaussian()/fill_uniform()"},
+      {"std-random",
+       "no std::*_distribution, std::mt19937* or std::generate_canonical "
+       "in src/ outside dsp/rng.hpp — draws go through dsp::Rng, whose "
+       "mappings the repository defines"},
   };
   return kRules;
 }
@@ -90,17 +94,19 @@ bool is_parity_harness(const std::string& path) {
   return norm_path(path).find("stream_parity.") != std::string::npos;
 }
 
-bool is_hot_file(const std::string& path) {
+/// `path` is the file `rel` (a path under src/, e.g. "dsp/rng.hpp").
+bool is_file(const std::string& path, const std::string& rel) {
   const std::string p = norm_path(path);
+  return p == rel || (p.size() > rel.size() &&
+                      p.compare(p.size() - rel.size() - 1, rel.size() + 1,
+                                "/" + rel) == 0);
+}
+
+bool is_hot_file(const std::string& path) {
   for (const char* hot :
        {"core/datc_block.hpp", "uwb/receiver.cpp",
         "core/streaming_reconstruct.cpp", "core/streaming_reconstruct.hpp"}) {
-    const std::string h = hot;
-    if (p == h || (p.size() > h.size() &&
-                   p.compare(p.size() - h.size() - 1, h.size() + 1,
-                             "/" + h) == 0)) {
-      return true;
-    }
+    if (is_file(path, hot)) return true;
   }
   return false;
 }
@@ -337,6 +343,31 @@ void check_store_io(const std::string& path, const Tokens& ts,
                          "' writes in store/ bypassing the fault::FileIo "
                          "seam — use fault::write_file / LogWriterConfig::io "
                          "so faults inject and retries stay positional"});
+    }
+  }
+}
+
+void check_std_random(const std::string& path, const Tokens& ts,
+                      std::vector<Finding>& out) {
+  // The standard leaves every distribution's mapping to the library, so
+  // a std distribution or engine outside dsp::Rng would make outputs
+  // depend on the toolchain again.
+  if (!in_dir(path, "src") || is_file(path, "dsp/rng.hpp")) return;
+  const auto ends_with = [](const std::string& s, const std::string& tail) {
+    return s.size() >= tail.size() &&
+           s.compare(s.size() - tail.size(), tail.size(), tail) == 0;
+  };
+  for (std::size_t i = 2; i < ts.size(); ++i) {
+    const Token& t = ts[i];
+    if (t.kind != TokKind::kIdent || t.in_directive) continue;
+    if (!is_punct(ts[i - 1], "::") || !is_ident(ts[i - 2], "std")) continue;
+    if (ends_with(t.text, "_distribution") || t.text.rfind("mt19937", 0) == 0 ||
+        t.text == "generate_canonical") {
+      out.push_back({path, t.line, "std-random",
+                     "'std::" + t.text +
+                         "' outside dsp/rng.hpp — its mapping is the "
+                         "library's, not the repository's; draw through "
+                         "dsp::Rng"});
     }
   }
 }
@@ -662,6 +693,7 @@ std::vector<Finding> lint_source(const std::string& path,
   check_lock_scope(path, lexed.tokens, raw);
   check_hot_alloc(path, lexed.tokens, raw);
   check_hot_rng(path, lexed.tokens, raw);
+  check_std_random(path, lexed.tokens, raw);
   std::vector<Finding> out;
   for (auto& f : raw) {
     const auto it = allow.find(f.line);
