@@ -74,6 +74,33 @@ void print_fig5() {
       "spread %.1fx vs ATC %.1fx.\n",
       sd.std_dev, sa.std_dev, ed.max / std::max(ed.min, 1.0),
       ea.max / std::max(ea.min, 1.0));
+
+  // The patterns behind the tails: D-ATC under the paper's 85 % floor,
+  // and D-ATC reading below ATC on the same pattern.
+  const auto& specs = factory.specs();
+  std::string below_floor;
+  std::string below_atc;
+  std::size_t n_floor = 0;
+  std::size_t n_atc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    char buf[160];
+    if (corr_datc[i] < 85.0) {
+      std::snprintf(buf, sizeof buf, " %s (%.1f %%)", specs[i].name.c_str(),
+                    corr_datc[i]);
+      below_floor += buf;
+      ++n_floor;
+    }
+    if (corr_datc[i] < corr_atc[i]) {
+      std::snprintf(buf, sizeof buf, " %s (D-ATC %.1f %% < ATC %.1f %%)",
+                    specs[i].name.c_str(), corr_datc[i], corr_atc[i]);
+      below_atc += buf;
+      ++n_atc;
+    }
+  }
+  std::printf("D-ATC below the paper's 85 %% floor: %zu of %zu patterns%s\n",
+              n_floor, n, n_floor > 0 ? (":" + below_floor).c_str() : "");
+  std::printf("D-ATC below ATC: %zu of %zu patterns%s\n", n_atc, n,
+              n_atc > 0 ? (":" + below_atc).c_str() : "");
 }
 
 void bench_one_pattern_eval(benchmark::State& state) {

@@ -50,13 +50,51 @@ std::size_t first_true(std::size_t begin, std::size_t end, Real guess,
   while (g > begin && pred(g - 1)) --g;
   return g;
 }
+
+/// Smallest k >= 0 with pred(k) true, pred monotone in k, walking from a
+/// guess a few steps from the answer (used once per binade, not per
+/// sample).
+template <class Pred>
+std::size_t first_index(Real guess, Pred&& pred) {
+  std::size_t k = guess > 0.0 ? static_cast<std::size_t>(guess) : 0;
+  while (k > 0 && pred(k - 1)) --k;
+  while (!pred(k)) ++k;
+  return k;
+}
+
+constexpr std::size_t kNoRange = std::numeric_limits<std::size_t>::max();
 }  // namespace
+
+RateWidthRange rate_width_range(std::size_t j, Real fs, Real half) {
+  dsp::require(fs > 0.0 && half > 0.0,
+               "rate_width_range: parameters must be positive");
+  const auto t_of = [fs](std::size_t k) { return static_cast<Real>(k) / fs; };
+  // No binade below half's holds t - half >= 2^e > 0.
+  for (int e = std::ilogb(std::max(t_of(j), half));; ++e) {
+    const Real base = std::ldexp(1.0, e);  // binade [base, 2 base)
+    const Real top = 2.0 * base;
+    const Real ulp =
+        std::ldexp(1.0, e - (std::numeric_limits<Real>::digits - 1));
+    // Inside the binade t - base and top - t are exact, so these are the
+    // exact conditions t - half >= base and t + half <= top.
+    const std::size_t lo = first_index(
+        (base + half) * fs, [&](std::size_t k) { return t_of(k) - base >= half; });
+    const std::size_t hi = first_index(
+        (top - half) * fs, [&](std::size_t k) { return top - t_of(k) < half; });
+    const Real rem = std::fmod(half, ulp);
+    if (lo < hi && hi > j && rem + rem != ulp) {
+      const Real t = t_of(lo);
+      return RateWidthRange{lo, hi, (t + half) - (t - half)};
+    }
+  }
+}
 
 StreamingDatcReconstructor::StreamingDatcReconstructor(
     const ReconstructionConfig& config, CalibrationPtr calibration)
     : config_(config),
       cal_(std::move(calibration)),
       lsb_(config.dac_vref / static_cast<Real>(1u << config.dac_bits)),
+      dur_limit_(kNoRange),
       watermark_(-std::numeric_limits<Real>::infinity()) {
   dsp::require(cal_ != nullptr, "StreamingDatcReconstructor: null calibration");
   dsp::require(config_.window_s > 0.0 && config_.output_fs_hz > 0.0,
@@ -84,7 +122,8 @@ Real StreamingDatcReconstructor::latency_s() const {
 
 std::size_t StreamingDatcReconstructor::buffered_bytes() const {
   return ev_.capacity() * sizeof(Event) +
-         (prefix_.capacity() + memo_u_.capacity() + out_buf_.capacity()) *
+         (prefix_.capacity() + memo_u_.capacity() + u_by_count_.capacity() +
+          out_buf_.capacity()) *
              sizeof(Real) +
          code_.capacity() +
          cnt_.capacity() * sizeof(std::int32_t) +
@@ -131,6 +170,15 @@ void StreamingDatcReconstructor::finish(Real duration_s) {
   duration_ = duration_s;
   n_total_ = static_cast<std::size_t>(
       std::llround(duration_s * config_.output_fs_hz));
+  // From here on the duration truncates the rate window of every sample
+  // with t + half > duration: the one-width run ends before the first.
+  const Real fs = config_.output_fs_hz;
+  const Real half = config_.window_s / 2.0;
+  dur_limit_ = first_index((duration_s - half) * fs, [&](std::size_t j) {
+    return duration_s < static_cast<Real>(j) / fs + half;
+  });
+  fast_hi_ = std::min(fast_hi_, dur_limit_);
+  fast_lo_ = std::min(fast_lo_, fast_hi_);
   if (n_total_ > emit_n_) {
     out_buf_.reserve(out_buf_.size() + (n_total_ - emit_n_));
   }
@@ -215,7 +263,8 @@ bool StreamingDatcReconstructor::extend_vth_run() {
 
 /// Emits every final sample as one block. Interior samples go through
 /// simd::recon_tail; the record edges, whose smoothing window is clamped,
-/// and memo misses take the scalar expression one sample at a time.
+/// and table or memo misses take the scalar expression one sample at a
+/// time.
 bool StreamingDatcReconstructor::emit_run() {
   // Sample j is final once the trajectory through its last smoothing
   // sample min(j + h, N - 1) exists; before finish, j + h must also lie
@@ -240,12 +289,14 @@ bool StreamingDatcReconstructor::emit_run() {
 
   const std::size_t n0 = emit_n_;
   const std::size_t r = end - n0;
-  window_counts(n0, r);
+  // cnt_ holds the count changes; each path below turns them into counts.
+  std::int32_t count = window_counts(n0, r);
   const std::size_t base = out_buf_.size();
   out_buf_.resize(base + r);
   Real* out = out_buf_.data() + base;
   simd::ReconTailArgs args{
       n0,
+      0,
       0.0,
       lsb_,
       fs,
@@ -254,7 +305,11 @@ bool StreamingDatcReconstructor::emit_run() {
       static_cast<Real>(2 * h_ + 1),
       kArvOfSigma,
       memo_keys_.data(),
-      memo_u_.data()};
+      memo_u_.data(),
+      kNoRange,
+      kNoRange,
+      nullptr,
+      0};
   // The scalar expression for sample n0 + i, smoothing window clamped to
   // the record (a no-op in the interior).
   auto scalar_at = [&](std::size_t i) {
@@ -263,7 +318,7 @@ bool StreamingDatcReconstructor::emit_run() {
     const std::size_t ma_hi =
         finished_ ? std::min(j + h_, n_total_ - 1) : j + h_;
     simd::ReconTailArgs at = args;
-    at.count = static_cast<Real>(ma_hi - ma_lo + 1);
+    at.window_n = static_cast<Real>(ma_hi - ma_lo + 1);
     const Real rate =
         simd::recon_rate_at(at, j, static_cast<Real>(cnt_[i]));
     return simd::recon_arv(
@@ -277,50 +332,96 @@ bool StreamingDatcReconstructor::emit_run() {
   while (off < r) {
     const std::size_t j = n0 + off;
     if (j < h_ || j >= interior_end) {
+      count += cnt_[off];
+      cnt_[off] = count;
       out[off] = scalar_at(off);
       ++fallbacks_;
       ++off;
       continue;
     }
+    if (j >= fast_hi_) next_fast_range(j);
     // Window sums P[j + h + 1] - P[j - h], the kernel appending P[j + h +
     // 1] from code_ (same slot): both index runs are contiguous in the
-    // ring up to the next wrap point.
+    // ring up to the next wrap point. A call stops at the end of the
+    // one-width run, so the next one starts with the next run's range.
     const std::size_t ih = (j + h_ + 1) % ring;
     const std::size_t il = (j - h_) % ring;
-    const std::size_t seg =
+    std::size_t seg =
         std::min({std::min(end, interior_end) - j, ring - ih, ring - il});
+    if (j < fast_hi_) seg = std::min(seg, fast_hi_ - j);
     args.j0 = j;
+    args.count_prev = count;
     args.p_prev = prefix_at(j + h_);
+    args.fast_lo = fast_lo_;
+    args.fast_hi = fast_hi_;
+    args.u_by_count = u_by_count_.data();
+    args.u_by_count_size = static_cast<std::int32_t>(u_by_count_.size());
     const std::size_t done = kt.recon_tail(
         args, cnt_.data() + off, code_.data() + ih, prefix_.data() + ih,
         prefix_.data() + il, out + off, seg);
     off += done;
     if (done < seg) {
-      // Memo miss: the kernel appended this sample's P; the scalar
-      // expression fills the memo.
-      out[off] = scalar_at(off);
+      // A miss: the kernel appended this sample's P and count. In the
+      // one-width run the count's u enters the table (rate = count / W,
+      // the reference rate); elsewhere the scalar expression fills the
+      // memo.
+      const std::size_t jm = n0 + off;
+      if (jm >= fast_lo_ && jm < fast_hi_) {
+        const auto c = static_cast<std::size_t>(cnt_[off]);
+        if (c >= u_by_count_.size()) {
+          u_by_count_.resize(c + 1, std::numeric_limits<Real>::quiet_NaN());
+        }
+        const Real u = u_by_count_[c] = cal_->u_for_rate(
+            static_cast<Real>(c) / std::max(fast_width_, Real{1e-9}));
+        out[off] = simd::recon_arv(
+            args, prefix_at(jm + h_ + 1) - prefix_at(jm - h_), u);
+      } else {
+        out[off] = scalar_at(off);
+      }
       ++off;
     }
+    count = cnt_[off - 1];
   }
   emit_n_ = end;
   retire_events();
   return true;
 }
 
-/// Rate-window event counts of samples n0 .. n0 + r - 1 into cnt_, from
-/// one merge of the event times against the window edges: event hi_
-/// enters at the first j with t < t_hi(j), event lo_ leaves at the first
-/// j with t < t_lo(j). Each transition drops a +-1; a running sum gives
-/// the counts and leaves the cursors at sample n0 + r - 1's state.
-void StreamingDatcReconstructor::window_counts(std::size_t n0,
-                                               std::size_t r) {
+/// Moves the one-width run to the first one ending past sample j (the
+/// emitter has reached fast_hi_). Its u table carries over when the width
+/// does not change, as it does not for a window of a power-of-two length.
+void StreamingDatcReconstructor::next_fast_range(std::size_t j) {
+  if (j >= dur_limit_) {
+    fast_lo_ = fast_hi_ = kNoRange;
+    return;
+  }
+  const RateWidthRange range = rate_width_range(
+      j, config_.output_fs_hz, config_.window_s / 2.0);
+  fast_hi_ = std::min(range.hi, dur_limit_);
+  fast_lo_ = std::min(range.lo, fast_hi_);
+  if (std::bit_cast<std::uint64_t>(range.width) !=
+      std::bit_cast<std::uint64_t>(fast_width_)) {
+    fast_width_ = range.width;
+    std::fill(u_by_count_.begin(), u_by_count_.end(),
+              std::numeric_limits<Real>::quiet_NaN());
+  }
+}
+
+/// Rate-window event counts of samples n0 .. n0 + r - 1, as changes from
+/// the previous sample into cnt_ (the emitter runs their sum), from one
+/// merge of the event times against the window edges: event hi_ enters
+/// at the first j with t < t_hi(j), event lo_ leaves at the first j with
+/// t < t_lo(j). Each transition drops a +-1. Returns the count before
+/// sample n0 and leaves the cursors at sample n0 + r - 1's state.
+std::int32_t StreamingDatcReconstructor::window_counts(std::size_t n0,
+                                                       std::size_t r) {
   const Real fs = config_.output_fs_hz;
   const Real half = config_.window_s / 2.0;
   const std::size_t end = n0 + r;
   if (cnt_.size() < r) cnt_.resize(r);
   std::int32_t* d = cnt_.data();
   std::fill(d, d + r, 0);
-  auto count = static_cast<std::int32_t>(hi_ - lo_);
+  const auto count = static_cast<std::int32_t>(hi_ - lo_);
   // An event enters no later than it leaves (t_lo(j) <= t_hi(j)), so
   // every event leaving inside the block was counted in when it entered.
   for (; hi_ < ev_pushed_; ++hi_) {
@@ -341,10 +442,7 @@ void StreamingDatcReconstructor::window_counts(std::size_t n0,
     if (k == end) break;
     --d[k - n0];
   }
-  for (std::size_t i = 0; i < r; ++i) {
-    count += d[i];
-    d[i] = count;
-  }
+  return count;
 }
 
 /// Calibration inverse through the memo (u_for_rate is a pure function

@@ -19,19 +19,34 @@
 // then a sample is emitted only if its smoothing window fits inside
 // llround(watermark * fs), the least length the record can still have.
 //
-// Interior samples go through simd::recon_tail in blocks of up to a
-// window: the per-sample window counts come from one merge of the event
-// times against the window edges, and the calibration inverse from a
-// 512-slot memo keyed by the rate's bits. The kernel also appends the
-// trajectory's prefix sums (P[j + h + 1] = P[j + h] + vth[j + h]) from
-// the ring of held DAC codes, so that add chain runs under its divisions;
-// only the lead P[1 .. 2h], which no interior sample produces, is summed
-// as the trajectory is extended. Only the record edges, where the
-// smoothing window is clamped, and memo misses take the scalar
-// expression. The arithmetic is expression-for-expression the reference
-// order (t = j/fs, truncated w_eff, count/w_eff, window sum/count, /u,
-// *sqrt(2/pi)), so the output is bit-identical for any chunking and any
-// SIMD backend.
+// Every output is the reference expression, in the reference order:
+//
+//   t = j / fs, w_eff = min(t + half, duration) - max(t - half, 0),
+//   rate = count / max(w_eff, 1e-9), u = u_for_rate(rate),
+//   arv = ((window sum / (2h + 1)) / u) * sqrt(2 / pi),
+//
+// so the output is bit-identical for any chunking and any SIMD backend.
+// What differs is how much of it a sample pays for:
+//
+//  - Interior samples go through simd::recon_tail in blocks of up to a
+//    window. One merge of the event times against the window edges gives
+//    the per-sample changes of the window count; the kernel runs their
+//    sum, and it appends the trajectory's prefix sums (P[j + h + 1] =
+//    P[j + h] + vth[j + h]) from the ring of held DAC codes, so both add
+//    chains run under its divisions. Only the lead P[1 .. 2h], which no
+//    interior sample produces, is summed as the trajectory is extended.
+//  - Most interior samples skip t = j / fs and the rate division too.
+//    While t - half and t + half stay in t's binade, and half is not a
+//    rounding tie at ulp(t), w_eff rounds to one width W for the whole
+//    binade (rate_width_range), so the rate is count / W and u comes from
+//    a dense table indexed by the count, filled as counts first appear.
+//    A streaming round checks its samples against that index range with
+//    an integer compare.
+//  - The rest of the interior (samples within half a window of a power
+//    of two, about 9 % of a 20 s record) computes w_eff and the rate and
+//    reads u from a 512-slot memo keyed by the rate's bits.
+//  - The record edges, where the smoothing window is clamped, and table
+//    or memo misses take the scalar expression one sample at a time.
 
 #include <cstdint>
 #include <span>
@@ -41,6 +56,25 @@
 #include "core/reconstruct.hpp"
 
 namespace datc::core {
+
+/// A run of output samples whose rate windows all round to one width:
+/// for every j in [lo, hi), t = (Real)j / fs gives (t + half) - (t -
+/// half) == width exactly, both ends rounded as the reference rounds
+/// them. Such a run is the part of one binade [2^e, 2^(e+1)) of t where
+/// t - half >= 2^e and t + half <= 2^(e+1); there both sums round on the
+/// binade's ulp grid, so their difference does not depend on t unless
+/// half sits exactly halfway between two grid points (a rounding tie,
+/// whose direction then follows t's parity): such a binade has no run.
+struct RateWidthRange {
+  std::size_t lo;
+  std::size_t hi;
+  Real width;
+};
+
+/// The first run with hi > j (lo may lie past j). Requires fs > 0 and
+/// half > 0.
+[[nodiscard]] RateWidthRange rate_width_range(std::size_t j, Real fs,
+                                              Real half);
 
 class StreamingDatcReconstructor {
  public:
@@ -73,8 +107,8 @@ class StreamingDatcReconstructor {
   /// Samples emitted one at a time by the scalar path because their
   /// smoothing window is clamped by a record edge: at most 2h + 2 per
   /// stream whatever the event count, so it guards the block path without
-  /// a timing gate. (Memo misses also run the scalar expression; they are
-  /// not counted.)
+  /// a timing gate. (Table and memo misses also run the scalar
+  /// expression; they are not counted.)
   [[nodiscard]] std::size_t scalar_fallbacks() const { return fallbacks_; }
 
   [[nodiscard]] const ReconstructionConfig& config() const { return config_; }
@@ -105,6 +139,19 @@ class StreamingDatcReconstructor {
   std::vector<std::uint64_t> memo_keys_;  ///< rate bits -> memo_u_ slot
   std::vector<Real> memo_u_;    ///< u_for_rate of memo_keys_
 
+  /// The one-width run the emitter is in or before: samples [fast_lo_,
+  /// fast_hi_) have rate-window width fast_width_. Recomputed once the
+  /// emitter reaches fast_hi_; after finish() it ends where the duration
+  /// starts truncating the window (dur_limit_).
+  std::size_t fast_lo_{0};
+  std::size_t fast_hi_{0};
+  Real fast_width_{0.0};
+  std::size_t dur_limit_;
+  /// u_for_rate(count / fast_width_) by count, NaN until a sample of the
+  /// run holds that count; it grows to the largest count seen and is
+  /// reset when the width changes.
+  std::vector<Real> u_by_count_;
+
   std::size_t emit_n_{0};       ///< next output index to emit
   std::size_t fallbacks_{0};    ///< edge samples emitted one at a time
   Real watermark_;
@@ -123,7 +170,8 @@ class StreamingDatcReconstructor {
   [[nodiscard]] std::size_t min_total() const;
   bool extend_vth_run();
   bool emit_run();
-  void window_counts(std::size_t n0, std::size_t r);
+  void next_fast_range(std::size_t j);
+  [[nodiscard]] std::int32_t window_counts(std::size_t n0, std::size_t r);
   void retire_events();
   [[nodiscard]] Real u_of_rate(Real rate);
 };

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "dsp/types.hpp"
 #include "simd/math.hpp"
@@ -40,28 +41,42 @@ struct CmpMaskArgs {
 };
 
 /// Rate-inversion reconstruction tail (core/streaming_reconstruct.cpp):
-/// lane i is output sample j = j0 + i, whose rate window holds cnt[i]
-/// events (int32: exact in a double lane). The kernel also appends the
-/// prefix sums of the held-threshold trajectory that the lanes' smoothing
-/// windows end on: p_hi[i] = p_hi[i - 1] + lsb * code[i] with p_hi[-1] =
-/// p_prev (P[j + h + 1] = P[j + h] + vth[j + h], vth = lsb * DAC code),
-/// one add per lane in lane order, so that add chain runs under the
-/// lanes' divisions instead of in a loop of its own. The window sum is
-/// then p_hi[i] - p_lo[i]; p_lo may read p_hi entries written earlier in
-/// the same call (windows shorter than the call). The calibration inverse
-/// u_for_rate is read from a direct-mapped memo keyed by the rate's bit
-/// pattern; the kernels only read it, the caller fills it on a miss.
+/// lane i is output sample j = j0 + i. cnt[i] comes in as the change of
+/// the rate-window event count from lane i - 1 (lane -1 holds
+/// count_prev), and the kernel rewrites it to lane i's count (int32:
+/// exact in a double lane), so the running sum runs under the lanes'
+/// divisions. The kernel also appends the prefix sums of the
+/// held-threshold trajectory that the lanes' smoothing windows end on:
+/// p_hi[i] = p_hi[i - 1] + lsb * code[i] with p_hi[-1] = p_prev (P[j + h +
+/// 1] = P[j + h] + vth[j + h], vth = lsb * DAC code), one add per lane in
+/// lane order. The window sum is then p_hi[i] - p_lo[i]; p_lo may read
+/// p_hi entries written earlier in the same call (windows shorter than
+/// the call).
+///
+/// The calibration inverse u_for_rate comes from one of two tables, which
+/// the kernels only read (the caller fills them on a miss):
+///  - samples in [fast_lo, fast_hi) share one rate-window width W (see
+///    core::rate_width_range), so their rate is count / W and their u is
+///    u_by_count[count] (NaN: not seen yet), with no t = j / fs and no
+///    rate division;
+///  - every other sample computes its truncated window and rate and reads
+///    u from a direct-mapped memo keyed by the rate's bit pattern.
 struct ReconTailArgs {
   std::size_t j0;
+  std::int32_t count_prev;  ///< rate-window count of sample j0 - 1
   Real p_prev;    ///< prefix sum before lane 0's: P[j0 + h]
   Real lsb;       ///< threshold DAC step: vth = lsb * code
   Real fs;        ///< output grid rate
   Real half;      ///< window_s / 2
   Real duration;  ///< record duration; +inf while it is still unknown
-  Real count;     ///< smoothing window length (2h + 1 samples)
+  Real window_n;  ///< smoothing window length (2h + 1 samples)
   Real scale;     ///< ARV of unit sigma
   const std::uint64_t* memo_keys;  ///< kRateMemoSlots rate bit patterns
   const Real* memo_u;              ///< u_for_rate of each key
+  std::size_t fast_lo;  ///< first sample of the one-width run
+  std::size_t fast_hi;  ///< one past its last (fast_lo <= fast_hi)
+  const Real* u_by_count;        ///< u of count / W, NaN when unseen
+  std::int32_t u_by_count_size;  ///< entries in u_by_count
 };
 
 /// Memo geometry: a channel sees a few hundred distinct rates, a few dozen
@@ -93,11 +108,11 @@ inline constexpr std::uint64_t kRateMemoEmpty = ~std::uint64_t{0};
   return cnt / std::max(w_eff, Real{1e-9});
 }
 
-/// Smoothed threshold (window sum `diff` over `count` samples) over the
-/// calibration inverse u, in ARV units.
+/// Smoothed threshold (window sum `diff` over `window_n` samples) over
+/// the calibration inverse u, in ARV units.
 [[nodiscard]] inline Real recon_arv(const ReconTailArgs& a, Real diff,
                                     Real u) {
-  const Real vth_sm = diff / a.count;
+  const Real vth_sm = diff / a.window_n;
   const Real sigma = vth_sm / u;
   return sigma * a.scale;
 }
@@ -117,14 +132,14 @@ struct KernelTable {
                      Real* z1, std::size_t n);
   /// dst[i] = (c * a[i]) * a[i]  (receiver pulse energy, left-associated).
   void (*square_scale)(Real* dst, const Real* a, Real c, std::size_t n);
-  /// p_hi[i] = p_hi[i - 1] + lsb * code[i], then out[i] = ((p_hi[i] -
-  /// p_lo[i]) / count / u(rate_i)) * scale, for the leading samples whose
-  /// rate hits the memo. Returns how many outputs were written: a return
-  /// k < n means sample k missed (p_hi[0..k] written, out[k..) untouched).
-  std::size_t (*recon_tail)(const ReconTailArgs& args,
-                            const std::int32_t* cnt, const std::uint8_t* code,
-                            Real* p_hi, const Real* p_lo, Real* out,
-                            std::size_t n);
+  /// cnt[i] += cnt[i - 1] (cnt[-1] = count_prev), p_hi[i] = p_hi[i - 1]
+  /// + lsb * code[i], then out[i] = ((p_hi[i] - p_lo[i]) / window_n / u_i)
+  /// * scale, for the leading samples whose u is in its table. Returns
+  /// how many outputs were written: a return k < n means sample k missed
+  /// (cnt[0..k] and p_hi[0..k] written, out[k..) untouched).
+  std::size_t (*recon_tail)(const ReconTailArgs& args, std::int32_t* cnt,
+                            const std::uint8_t* code, Real* p_hi,
+                            const Real* p_lo, Real* out, std::size_t n);
 };
 
 namespace detail {
@@ -168,27 +183,72 @@ inline void gauss_tail_one(Real u, Real v, Real s, Real& z0, Real& z1) {
   return true;
 }
 
+/// u of a one-width sample holding `count` events; false when the
+/// count is not in the table yet.
+[[nodiscard]] inline bool count_table_find(const ReconTailArgs& a,
+                                           std::int32_t count, Real& u) {
+  if (count >= a.u_by_count_size) return false;  // counts are >= 0
+  u = a.u_by_count[count];
+  return !std::isnan(u);
+}
+
 /// Lane i's held threshold, the product the trajectory holds.
 [[nodiscard]] inline Real recon_vth(const ReconTailArgs& a,
                                     const std::uint8_t* code, std::size_t i) {
   return a.lsb * static_cast<Real>(code[i]);
 }
 
+/// Running state of one recon_tail call: the last prefix sum appended
+/// and the last lane's rate-window count.
+struct ReconTailState {
+  Real p;
+  std::int32_t count;
+};
+
 /// Shared recon_tail body for backend remainder loops (and the scalar
-/// reference): extends the prefix `p` by lane i's threshold, then false
-/// when sample i misses the memo.
-[[nodiscard]] inline bool recon_tail_one(const ReconTailArgs& a,
-                                         const std::int32_t* cnt,
+/// reference): extends the prefix and the count by lane i, then false
+/// when sample i misses its u table. `fast` selects the table: lanes in
+/// [fast_lo, fast_hi) read u_by_count, the others the rate memo.
+[[nodiscard]] inline bool recon_tail_one(const ReconTailArgs& a, bool fast,
+                                         std::int32_t* cnt,
                                          const std::uint8_t* code,
                                          Real* p_hi, const Real* p_lo,
-                                         Real* out, std::size_t i, Real& p) {
-  p += recon_vth(a, code, i);
-  p_hi[i] = p;
+                                         Real* out, std::size_t i,
+                                         ReconTailState& s) {
+  s.p += recon_vth(a, code, i);
+  p_hi[i] = s.p;
+  s.count += cnt[i];
+  cnt[i] = s.count;
   Real u = 0.0;
-  const Real rate = recon_rate_at(a, a.j0 + i, static_cast<Real>(cnt[i]));
-  if (!rate_memo_find(a, rate, u)) return false;
-  out[i] = recon_arv(a, p - p_lo[i], u);
+  if (fast) {
+    if (!count_table_find(a, s.count, u)) return false;
+  } else {
+    const Real rate =
+        recon_rate_at(a, a.j0 + i, static_cast<Real>(s.count));
+    if (!rate_memo_find(a, rate, u)) return false;
+  }
+  out[i] = recon_arv(a, s.p - p_lo[i], u);
   return true;
+}
+
+/// Runs lanes [0, n) as three spans: before, inside and after the
+/// one-width run [fast_lo, fast_hi). span(fast, begin, end, state) handles
+/// one span and returns the lane it stopped at (end, or a missing lane);
+/// `fast` is std::true_type or std::false_type so each backend compiles
+/// both bodies without a per-lane branch.
+template <class Span>
+[[nodiscard]] std::size_t recon_tail_spans(const ReconTailArgs& a,
+                                           std::size_t n, Span&& span) {
+  const std::size_t end = a.j0 + n;
+  const std::size_t lo = std::min(std::max(a.fast_lo, a.j0), end) - a.j0;
+  const std::size_t hi =
+      std::max(std::min(a.fast_hi, end), a.j0 + lo) - a.j0;
+  ReconTailState s{a.p_prev, a.count_prev};
+  std::size_t i = span(std::false_type{}, std::size_t{0}, lo, s);
+  if (i < lo) return i;
+  i = span(std::true_type{}, lo, hi, s);
+  if (i < hi) return i;
+  return span(std::false_type{}, hi, n, s);
 }
 
 [[nodiscard]] const KernelTable& scalar_table();

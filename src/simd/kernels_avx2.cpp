@@ -150,67 +150,96 @@ void square_scale_avx2(Real* dst, const Real* a, Real c, std::size_t n) {
   for (; i < n; ++i) dst[i] = c * a[i] * a[i];
 }
 
-std::size_t recon_tail_avx2(const ReconTailArgs& args,
-                            const std::int32_t* cnt,
+/// One recon_tail span of 4-lane blocks plus the shared scalar remainder.
+/// A block that misses its table breaks before writing anything, so the
+/// remainder loop restarts at the block and stops at the missing lane.
+template <bool Fast>
+std::size_t recon_span_avx2(const ReconTailArgs& args, std::int32_t* cnt,
                             const std::uint8_t* code, Real* p_hi,
-                            const Real* p_lo, Real* out, std::size_t n) {
-  const __m256d vfs = _mm256_set1_pd(args.fs);
-  const __m256d vhalf = _mm256_set1_pd(args.half);
-  const __m256d vdur = _mm256_set1_pd(args.duration);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vfloor = _mm256_set1_pd(1e-9);
-  const __m256d vcount = _mm256_set1_pd(args.count);
+                            const Real* p_lo, Real* out, std::size_t i,
+                            std::size_t end, ReconTailState& s) {
+  const __m256d vwin = _mm256_set1_pd(args.window_n);
   const __m256d vscale = _mm256_set1_pd(args.scale);
-  const __m256d four = _mm256_set1_pd(4.0);
-  const __m256i vmul = _mm256_set1_epi64x(0x9E3779B1ll);
-  const __m256i vslot =
-      _mm256_set1_epi64x(static_cast<long long>(kRateMemoSlots - 1));
-  const auto* keys = reinterpret_cast<const long long*>(args.memo_keys);
-  const auto jd0 = static_cast<double>(args.j0);
-  __m256d jd = _mm256_setr_pd(jd0, jd0 + 1.0, jd0 + 2.0, jd0 + 3.0);
-  Real p = args.p_prev;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_div_pd(jd, vfs);
-    const __m256d t_lo = _mm256_sub_pd(t, vhalf);
-    const __m256d t_hi = _mm256_add_pd(t, vhalf);
-    // min/max with the operands swapped reproduce std::min(a, b) =
-    // (b < a) ? b : a and std::max(a, b) = (a < b) ? b : a exactly,
-    // signed zeros and NaN included.
-    const __m256d w_eff = _mm256_sub_pd(_mm256_min_pd(vdur, t_hi),
-                                        _mm256_max_pd(vzero, t_lo));
-    const __m256d c = _mm256_cvtepi32_pd(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cnt + i)));
-    const __m256d rate = _mm256_div_pd(c, _mm256_max_pd(vfloor, w_eff));
-    const __m256i key = _mm256_castpd_si256(rate);
-    const __m256i fold = _mm256_xor_si256(key, _mm256_srli_epi64(key, 32));
-    const __m256i slot = _mm256_and_si256(
-        _mm256_srli_epi64(_mm256_mul_epu32(fold, vmul), 32 - kRateMemoBits),
-        vslot);
-    const __m256i got = _mm256_i64gather_epi64(keys, slot, 8);
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(
-            _mm256_cmpeq_epi64(got, key))) != 0xF) {
-      break;  // the remainder loop stops at the missing lane
+  for (; i + 4 <= end; i += 4) {
+    // The count running sum in lane order (scalar int adds).
+    const std::int32_t c0 = s.count + cnt[i];
+    const std::int32_t c1 = c0 + cnt[i + 1];
+    const std::int32_t c2 = c1 + cnt[i + 2];
+    const std::int32_t c3 = c2 + cnt[i + 3];
+    const __m128i vc = _mm_setr_epi32(c0, c1, c2, c3);
+    __m256d u;
+    if constexpr (Fast) {
+      const __m128i in_table =
+          _mm_cmplt_epi32(vc, _mm_set1_epi32(args.u_by_count_size));
+      if (_mm_movemask_ps(_mm_castsi128_ps(in_table)) != 0xF) break;
+      // Masked form with a zeroed source, as in cmp_masks_avx2.
+      u = _mm256_mask_i32gather_pd(
+          _mm256_setzero_pd(), args.u_by_count, vc,
+          _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+      if (_mm256_movemask_pd(_mm256_cmp_pd(u, u, _CMP_ORD_Q)) != 0xF) break;
+    } else {
+      const auto jd0 = static_cast<double>(args.j0 + i);
+      const __m256d jd = _mm256_setr_pd(jd0, jd0 + 1.0, jd0 + 2.0, jd0 + 3.0);
+      const __m256d t = _mm256_div_pd(jd, _mm256_set1_pd(args.fs));
+      const __m256d vhalf = _mm256_set1_pd(args.half);
+      const __m256d t_lo = _mm256_sub_pd(t, vhalf);
+      const __m256d t_hi = _mm256_add_pd(t, vhalf);
+      // min/max with the operands swapped reproduce std::min(a, b) =
+      // (b < a) ? b : a and std::max(a, b) = (a < b) ? b : a exactly,
+      // signed zeros and NaN included.
+      const __m256d w_eff =
+          _mm256_sub_pd(_mm256_min_pd(_mm256_set1_pd(args.duration), t_hi),
+                        _mm256_max_pd(_mm256_setzero_pd(), t_lo));
+      const __m256d rate = _mm256_div_pd(
+          _mm256_cvtepi32_pd(vc),
+          _mm256_max_pd(_mm256_set1_pd(1e-9), w_eff));
+      const __m256i key = _mm256_castpd_si256(rate);
+      const __m256i fold = _mm256_xor_si256(key, _mm256_srli_epi64(key, 32));
+      const __m256i slot = _mm256_and_si256(
+          _mm256_srli_epi64(
+              _mm256_mul_epu32(fold, _mm256_set1_epi64x(0x9E3779B1ll)),
+              32 - kRateMemoBits),
+          _mm256_set1_epi64x(static_cast<long long>(kRateMemoSlots - 1)));
+      const __m256i got = _mm256_i64gather_epi64(
+          reinterpret_cast<const long long*>(args.memo_keys), slot, 8);
+      if (_mm256_movemask_pd(_mm256_castsi256_pd(
+              _mm256_cmpeq_epi64(got, key))) != 0xF) {
+        break;
+      }
+      u = _mm256_i64gather_pd(args.memo_u, slot, 8);
     }
-    const __m256d u = _mm256_i64gather_pd(args.memo_u, slot, 8);
+    s.count = c3;
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(cnt + i), vc);
     // The prefix chain in lane order (scalar adds: the order is the bits).
-    const Real q0 = p + recon_vth(args, code, i);
+    const Real q0 = s.p + recon_vth(args, code, i);
     const Real q1 = q0 + recon_vth(args, code, i + 1);
     const Real q2 = q1 + recon_vth(args, code, i + 2);
-    p = q2 + recon_vth(args, code, i + 3);
-    const __m256d hi = _mm256_setr_pd(q0, q1, q2, p);
+    s.p = q2 + recon_vth(args, code, i + 3);
+    const __m256d hi = _mm256_setr_pd(q0, q1, q2, s.p);
     // Store before loading p_lo: a short window reads this block's sums.
     _mm256_storeu_pd(p_hi + i, hi);
     const __m256d vth_sm =
-        _mm256_div_pd(_mm256_sub_pd(hi, _mm256_loadu_pd(p_lo + i)), vcount);
+        _mm256_div_pd(_mm256_sub_pd(hi, _mm256_loadu_pd(p_lo + i)), vwin);
     _mm256_storeu_pd(out + i,
                      _mm256_mul_pd(_mm256_div_pd(vth_sm, u), vscale));
-    jd = _mm256_add_pd(jd, four);
   }
-  for (; i < n; ++i) {
-    if (!recon_tail_one(args, cnt, code, p_hi, p_lo, out, i, p)) return i;
+  for (; i < end; ++i) {
+    if (!recon_tail_one(args, Fast, cnt, code, p_hi, p_lo, out, i, s)) {
+      break;
+    }
   }
-  return n;
+  return i;
+}
+
+std::size_t recon_tail_avx2(const ReconTailArgs& args, std::int32_t* cnt,
+                            const std::uint8_t* code, Real* p_hi,
+                            const Real* p_lo, Real* out, std::size_t n) {
+  return recon_tail_spans(
+      args, n,
+      [&](auto fast, std::size_t i, std::size_t end, ReconTailState& s) {
+        return recon_span_avx2<decltype(fast)::value>(args, cnt, code, p_hi,
+                                                      p_lo, out, i, end, s);
+      });
 }
 
 }  // namespace

@@ -135,53 +135,79 @@ void square_scale_neon(Real* dst, const Real* a, Real c, std::size_t n) {
   return vbslq_f64(vcltq_f64(a, b), b, a);
 }
 
-std::size_t recon_tail_neon(const ReconTailArgs& args,
-                            const std::int32_t* cnt,
+/// One recon_tail span of 2-lane blocks plus the shared scalar remainder.
+/// A block that misses its table breaks before writing anything, so the
+/// remainder loop restarts at the block and stops at the missing lane.
+template <bool Fast>
+std::size_t recon_span_neon(const ReconTailArgs& args, std::int32_t* cnt,
                             const std::uint8_t* code, Real* p_hi,
-                            const Real* p_lo, Real* out, std::size_t n) {
-  const float64x2_t vfs = vdupq_n_f64(args.fs);
-  const float64x2_t vhalf = vdupq_n_f64(args.half);
-  const float64x2_t vdur = vdupq_n_f64(args.duration);
-  const float64x2_t vzero = vdupq_n_f64(0.0);
-  const float64x2_t vfloor = vdupq_n_f64(1e-9);
-  const float64x2_t vcount = vdupq_n_f64(args.count);
+                            const Real* p_lo, Real* out, std::size_t i,
+                            std::size_t end, ReconTailState& s) {
+  const float64x2_t vwin = vdupq_n_f64(args.window_n);
   const float64x2_t vscale = vdupq_n_f64(args.scale);
-  const float64x2_t two = vdupq_n_f64(2.0);
-  const auto jd0 = static_cast<double>(args.j0);
-  float64x2_t jd = {jd0, jd0 + 1.0};
-  Real p = args.p_prev;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t t = vdivq_f64(jd, vfs);
-    const float64x2_t t_lo = vsubq_f64(t, vhalf);
-    const float64x2_t t_hi = vaddq_f64(t, vhalf);
-    // std::min(t_hi, dur) = (dur < t_hi) ? dur : t_hi.
-    const float64x2_t lim = vbslq_f64(vcltq_f64(vdur, t_hi), vdur, t_hi);
-    const float64x2_t w_eff = vsubq_f64(lim, std_max(t_lo, vzero));
-    const float64x2_t c = vcvtq_f64_s64(vmovl_s32(vld1_s32(cnt + i)));
-    const float64x2_t rate = vdivq_f64(c, std_max(w_eff, vfloor));
+  for (; i + 2 <= end; i += 2) {
+    // The count running sum in lane order (scalar int adds).
+    const std::int32_t c0 = s.count + cnt[i];
+    const std::int32_t c1 = c0 + cnt[i + 1];
     Real u0 = 0.0;
     Real u1 = 0.0;
-    if (!rate_memo_find(args, vgetq_lane_f64(rate, 0), u0) ||
-        !rate_memo_find(args, vgetq_lane_f64(rate, 1), u1)) {
-      break;  // the remainder loop stops at the missing lane
+    if constexpr (Fast) {
+      if (!count_table_find(args, c0, u0) ||
+          !count_table_find(args, c1, u1)) {
+        break;
+      }
+    } else {
+      const auto jd0 = static_cast<double>(args.j0 + i);
+      const float64x2_t jd = {jd0, jd0 + 1.0};
+      const float64x2_t t = vdivq_f64(jd, vdupq_n_f64(args.fs));
+      const float64x2_t vhalf = vdupq_n_f64(args.half);
+      const float64x2_t t_lo = vsubq_f64(t, vhalf);
+      const float64x2_t t_hi = vaddq_f64(t, vhalf);
+      // std::min(t_hi, dur) = (dur < t_hi) ? dur : t_hi.
+      const float64x2_t vdur = vdupq_n_f64(args.duration);
+      const float64x2_t lim = vbslq_f64(vcltq_f64(vdur, t_hi), vdur, t_hi);
+      const float64x2_t w_eff =
+          vsubq_f64(lim, std_max(t_lo, vdupq_n_f64(0.0)));
+      const float64x2_t c = {static_cast<double>(c0),
+                             static_cast<double>(c1)};
+      const float64x2_t rate =
+          vdivq_f64(c, std_max(w_eff, vdupq_n_f64(1e-9)));
+      if (!rate_memo_find(args, vgetq_lane_f64(rate, 0), u0) ||
+          !rate_memo_find(args, vgetq_lane_f64(rate, 1), u1)) {
+        break;
+      }
     }
     const float64x2_t u = {u0, u1};
+    s.count = c1;
+    cnt[i] = c0;
+    cnt[i + 1] = c1;
     // The prefix chain in lane order (scalar adds: the order is the bits).
-    const Real q0 = p + recon_vth(args, code, i);
-    p = q0 + recon_vth(args, code, i + 1);
-    const float64x2_t hi = {q0, p};
+    const Real q0 = s.p + recon_vth(args, code, i);
+    s.p = q0 + recon_vth(args, code, i + 1);
+    const float64x2_t hi = {q0, s.p};
     // Store before loading p_lo: a short window reads this block's sums.
     vst1q_f64(p_hi + i, hi);
     const float64x2_t vth_sm =
-        vdivq_f64(vsubq_f64(hi, vld1q_f64(p_lo + i)), vcount);
+        vdivq_f64(vsubq_f64(hi, vld1q_f64(p_lo + i)), vwin);
     vst1q_f64(out + i, vmulq_f64(vdivq_f64(vth_sm, u), vscale));
-    jd = vaddq_f64(jd, two);
   }
-  for (; i < n; ++i) {
-    if (!recon_tail_one(args, cnt, code, p_hi, p_lo, out, i, p)) return i;
+  for (; i < end; ++i) {
+    if (!recon_tail_one(args, Fast, cnt, code, p_hi, p_lo, out, i, s)) {
+      break;
+    }
   }
-  return n;
+  return i;
+}
+
+std::size_t recon_tail_neon(const ReconTailArgs& args, std::int32_t* cnt,
+                            const std::uint8_t* code, Real* p_hi,
+                            const Real* p_lo, Real* out, std::size_t n) {
+  return recon_tail_spans(
+      args, n,
+      [&](auto fast, std::size_t i, std::size_t end, ReconTailState& s) {
+        return recon_span_neon<decltype(fast)::value>(args, cnt, code, p_hi,
+                                                      p_lo, out, i, end, s);
+      });
 }
 
 }  // namespace

@@ -36,15 +36,20 @@ void square_scale_scalar(Real* dst, const Real* a, Real c, std::size_t n) {
   }
 }
 
-std::size_t recon_tail_scalar(const ReconTailArgs& args,
-                              const std::int32_t* cnt,
+std::size_t recon_tail_scalar(const ReconTailArgs& args, std::int32_t* cnt,
                               const std::uint8_t* code, Real* p_hi,
                               const Real* p_lo, Real* out, std::size_t n) {
-  Real p = args.p_prev;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!recon_tail_one(args, cnt, code, p_hi, p_lo, out, i, p)) return i;
-  }
-  return n;
+  return recon_tail_spans(
+      args, n,
+      [&](auto fast, std::size_t i, std::size_t end, ReconTailState& s) {
+        for (; i < end; ++i) {
+          if (!recon_tail_one(args, fast, cnt, code, p_hi, p_lo, out, i,
+                              s)) {
+            break;
+          }
+        }
+        return i;
+      });
 }
 
 }  // namespace

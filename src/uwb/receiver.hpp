@@ -75,6 +75,15 @@ struct DecodeStats {
                      after.false_alarm_bits - before.false_alarm_bits};
 }
 
+/// Bit-slot timing tolerance, a fraction of the symbol period Ts: a
+/// detected pulse within a quarter slot of a code slot claims that slot.
+inline constexpr Real kSlotTolerance = 0.25;
+// The slot decode rounds dt * (1 / Ts), which can differ from dt / Ts by
+// a few ulps and so round to the other slot only near a half slot. A
+// tolerance below half a slot claims no pulse there with either slot.
+static_assert(kSlotTolerance < 0.5,
+              "slot decode needs the claim tolerance below half a slot");
+
 struct UwbReceiverConfig {
   EnergyDetectorConfig detector{};
   ModulatorConfig modulator{};  ///< packet layout (must match the TX)
@@ -82,7 +91,6 @@ struct UwbReceiverConfig {
   /// (0 = single-channel D-ATC frames). Must match the TX framing
   /// (modulate_aer); decoded addresses land in core::Event::channel.
   unsigned address_bits{0};
-  Real slot_tolerance{0.25};    ///< bit-slot timing tolerance, fraction of Ts
   bool decode_codes{true};      ///< false for plain ATC (marker-only) links
   /// Memoise detection_probability per distinct pulse energy. The detection
   /// statistic depends only on the received energy, and every pulse of a

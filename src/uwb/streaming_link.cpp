@@ -140,6 +140,7 @@ StreamingUwbReceiver::StreamingUwbReceiver(const UwbReceiverConfig& config,
       rng_detect_(rng.fork()),
       rng_frame_(rng.fork()),
       model_(config.detector, channel),
+      inv_ts_(1.0 / config.modulator.symbol_period_s),
       watermark_(kNegInf) {
   dsp::require(config_.address_bits + config_.modulator.code_bits <= 24,
                "StreamingUwbReceiver: frame exceeds 24 bit slots");
@@ -216,7 +217,7 @@ void StreamingUwbReceiver::close_frames(Real closable_before,
   const Real ts = config_.modulator.symbol_period_s;
   const unsigned bits = config_.address_bits + config_.modulator.code_bits;
   const Real window =
-      static_cast<Real>(bits) * ts + config_.slot_tolerance * ts;
+      static_cast<Real>(bits) * ts + kSlotTolerance * ts;
   // A frame closes only when no future pulse can still land in its
   // window: markers open at the oldest unclaimed pulse, exactly as the
   // batch claimed[] scan resumes at the first unclaimed index.
@@ -238,7 +239,7 @@ void StreamingUwbReceiver::close_front_frame(core::EventStream& out) {
   const unsigned addr_bits = config_.address_bits;
   const unsigned code_bits = config_.modulator.code_bits;
   const unsigned bits = addr_bits + code_bits;
-  const Real tol = config_.slot_tolerance * ts;
+  const Real tol = kSlotTolerance * ts;
 
   const std::size_t head = pend_head_;
   const Real t0 = pending_[head].time_s;  // this frame's marker
@@ -249,8 +250,12 @@ void StreamingUwbReceiver::close_front_frame(core::EventStream& out) {
   std::size_t keep = head + 1;
   while (scan < pending_.size() &&
          pending_[scan].time_s <= t0 + static_cast<Real>(bits) * ts + tol) {
-    const Real dt = pending_[scan].time_s - t0;
-    const auto slot = static_cast<long>(std::llround(dt / ts));
+    const Real dt = pending_[scan].time_s - t0;  // >= 0: time-sorted
+    // Nearest slot without a division: dt * (1 / Ts) rounds to the slot
+    // dt / Ts rounds to except near a half slot, where the tolerance
+    // check rejects both (kSlotTolerance < 0.5), so the claims are the
+    // same.
+    const auto slot = static_cast<long>(dt * inv_ts_ + 0.5);
     if (slot >= 1 && slot <= static_cast<long>(bits) &&
         std::abs(dt - static_cast<Real>(slot) * ts) <= tol) {
       bit |= 1u << static_cast<unsigned>(slot - 1);

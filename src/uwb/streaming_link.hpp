@@ -164,6 +164,7 @@ class StreamingUwbReceiver {
   DetectionModel model_;  ///< threshold solve hoisted out of the pulse loop
   DecodeStats stats_;
   Real unit_pulse_energy_;  ///< energy of the shape at 1 V peak
+  Real inv_ts_;             ///< 1 / symbol period, the slot decode's scale
   Real cached_energy_{-1.0};
   Real cached_pd_{0.0};
   /// Detected, unclaimed pulses in time order. The live window is

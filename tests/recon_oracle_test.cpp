@@ -3,24 +3,33 @@
 // DatcReconstructor, which runs the streaming core over the whole record,
 // and StreamingDatcReconstructor fed in chunks — must match it bit for bit
 // on real encoder output and on the edge cases of the window arithmetic.
-// The last test pins the block emit path by counting scalar fallbacks
+// The width-rule tests check the one-width runs the emitter's count table
+// relies on against the reference window arithmetic, index by index. The
+// last test pins the block emit path by counting scalar fallbacks
 // (deterministic, no wall clock).
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "config/factory.hpp"
+#include "config/scenario.hpp"
 #include "core/datc_encoder.hpp"
 #include "core/rate_calibration.hpp"
 #include "core/reconstruct.hpp"
 #include "core/streaming_reconstruct.hpp"
 #include "dsp/rng.hpp"
 #include "emg/dataset.hpp"
+#include "emg/evaluation.hpp"
 #include "recon_reference.hpp"
 
 namespace {
@@ -205,6 +214,128 @@ TEST(ReconOracle, RandomStreamsAcrossGrids) {
     const Real fs = trial % 2 == 0 ? 2500.0 : 700.0;
     check_against_oracle(ev, duration, grid(window, fs),
                          "trial " + std::to_string(trial));
+  }
+}
+
+TEST(ReconOracle, DurationTruncatesInteriorRateWindows) {
+  // window * fs = 211.4: w = 211, h = 105, half a window is 105.7
+  // samples. With duration * fs = 2999.55 the last interior sample (j =
+  // 2894) has t + half = 2.9997 s past the duration, so its rate window
+  // is truncated although its smoothing window is not. Sparse events
+  // keep its rate below the calibration peak, where u follows the rate.
+  dsp::Rng rng(2114);
+  core::EventStream ev;
+  Real t = 0.0;
+  while (true) {
+    t += 0.06 * rng.canonical();
+    if (t >= 2.99955) break;
+    ev.add(t, static_cast<std::uint8_t>(1 + rng.canonical() * 15.0));
+  }
+  check_against_oracle(ev, 2.99955, grid(0.2114, 1000.0), "truncated");
+}
+
+TEST(ReconOracle, RecordCrossingThe32And64SecondBinades) {
+  // 70 s: one-width runs end and restart around 32 s and 64 s, where t's
+  // ulp doubles. The 0.25 s window keeps one width in every binade; the
+  // 0.3 s window at 700 Hz changes it (its half is no power of two), so
+  // the count table is reset on the way.
+  dsp::Rng rng(7070);
+  core::EventStream ev;
+  Real t = 0.0;
+  while (true) {
+    t += 0.008 * rng.canonical();
+    if (t >= 70.0) break;
+    ev.add(t, static_cast<std::uint8_t>(1 + rng.canonical() * 15.0));
+  }
+  check_against_oracle(ev, 70.0, core::ReconstructionConfig{}, "70 s");
+  check_against_oracle(ev, 69.9993, grid(0.3, 700.0), "70 s, 700 Hz");
+}
+
+/// Walks every one-width run that starts below 2^24 and checks, at each
+/// of its indices below 2^24, that the reference window arithmetic of an
+/// unbounded record gives the run's width. Returns the share of indices
+/// below the last run's end that the runs cover.
+Real check_width_runs(Real window_s, Real fs, const std::string& what) {
+  constexpr std::size_t kLimit = std::size_t{1} << 24;
+  const Real half = window_s / 2.0;
+  std::size_t j = 0;
+  std::size_t covered = 0;
+  std::size_t prev_hi = 0;
+  while (true) {
+    const core::RateWidthRange run = core::rate_width_range(j, fs, half);
+    if (run.lo >= kLimit) break;
+    EXPECT_LT(run.lo, run.hi) << what;
+    EXPECT_GE(run.lo, prev_hi) << what << ": runs overlap";
+    const auto width = std::bit_cast<std::uint64_t>(run.width);
+    for (std::size_t k = run.lo; k < std::min(run.hi, kLimit); ++k) {
+      const Real t = static_cast<Real>(k) / fs;
+      const Real w_eff = std::min(t + half,
+                                  std::numeric_limits<Real>::infinity()) -
+                         std::max(t - half, 0.0);
+      if (std::bit_cast<std::uint64_t>(w_eff) != width) {
+        ADD_FAILURE() << what << ": sample " << k << " has width " << w_eff
+                      << ", its run [" << run.lo << ", " << run.hi
+                      << ") says " << run.width;
+        return 0.0;
+      }
+    }
+    covered += std::min(run.hi, kLimit) - run.lo;
+    prev_hi = run.hi;
+    j = run.hi;
+  }
+  return static_cast<Real>(covered) /
+         static_cast<Real>(std::min(prev_hi, kLimit));
+}
+
+TEST(ReconWidthRule, EveryPresetGrid) {
+  std::set<std::pair<Real, Real>> grids;
+  for (const auto& name : config::preset_names()) {
+    const auto rc = emg::datc_reconstruction_config(
+        config::PipelineFactory(config::make_preset(name)).eval_config());
+    grids.emplace(rc.window_s, rc.output_fs_hz);
+  }
+  ASSERT_FALSE(grids.empty());
+  for (const auto& [window_s, fs] : grids) {
+    const Real share = check_width_runs(
+        window_s, fs, "window " + std::to_string(window_s) + " s at " +
+                          std::to_string(fs) + " Hz");
+    // Only half a window around each power of two is left out.
+    EXPECT_GT(share, 0.99);
+  }
+}
+
+TEST(ReconWidthRule, RandomWindowsAt700Hz) {
+  dsp::Rng rng(700);
+  for (int trial = 0; trial < 4; ++trial) {
+    const Real window_s = 0.01 + 0.5 * rng.canonical();
+    EXPECT_GT(check_width_runs(window_s, 700.0,
+                               "window " + std::to_string(window_s) + " s"),
+              0.9);
+  }
+}
+
+TEST(ReconWidthRule, HalfWindowOnARoundingTie) {
+  // half = 1/8 + 2^-50 sits exactly halfway between two grid points of
+  // the binade [8, 16), whose ulp is 2^-49: there t + half and t - half
+  // round to even, which follows t, so the width takes two values and the
+  // binade gets no run.
+  const Real fs = 2500.0;
+  const Real half = 0.125 + std::ldexp(1.0, -50);
+  check_width_runs(2.0 * half, fs, "tie window");
+  std::set<std::uint64_t> widths;
+  for (std::size_t k = 8 * 2500 + 1000; k < 16 * 2500 - 1000; ++k) {
+    const Real t = static_cast<Real>(k) / fs;
+    widths.insert(std::bit_cast<std::uint64_t>((t + half) - (t - half)));
+  }
+  EXPECT_EQ(widths.size(), 2u);
+  for (std::size_t j = 0;;) {
+    const core::RateWidthRange run = core::rate_width_range(j, fs, half);
+    const Real t_lo = static_cast<Real>(run.lo) / fs;
+    const Real t_last = static_cast<Real>(run.hi - 1) / fs;
+    EXPECT_TRUE(t_last < 8.0 || t_lo >= 16.0)
+        << "run [" << run.lo << ", " << run.hi << ") in the tie binade";
+    if (t_lo >= 16.0) break;
+    j = run.hi;
   }
 }
 

@@ -224,42 +224,77 @@ TEST_P(SimdBackendMatrixTest, RngFillMatchesPerCallDraws) {
   }
 }
 
-/// recon_tail operands for n lanes from output index j0, with every
-/// lane's rate in the memo except lane `miss` (n: none missing), and a
-/// held DAC code that changes at lane `change`.
+constexpr std::size_t kNoFast = std::numeric_limits<std::size_t>::max();
+
+/// recon_tail operands for n lanes from output index j0, lanes [fast_lo,
+/// fast_hi) on the count table and the rest on the rate memo, with every
+/// lane's u present except lane `miss` (n: none missing), and a held DAC
+/// code that changes at lane `change`. cnt holds count changes, as the
+/// emitter passes them.
 struct ReconTailCase {
   std::vector<std::int32_t> cnt;
   std::vector<std::uint8_t> code;
   std::vector<Real> p_lo;
   std::vector<std::uint64_t> keys;
   std::vector<Real> memo_u;
+  std::vector<Real> u_by_count;
   simd::ReconTailArgs args{};
 
   ReconTailCase(std::size_t j0, std::size_t n, Real duration,
-                std::size_t miss, std::size_t change, dsp::Rng& rng)
+                std::size_t miss, std::size_t change, std::size_t fast_lo,
+                std::size_t fast_hi, dsp::Rng& rng)
       : cnt(n), code(n), p_lo(n), keys(simd::kRateMemoSlots,
                                        simd::kRateMemoEmpty),
         memo_u(simd::kRateMemoSlots, 0.0) {
+    const auto count_prev = static_cast<std::int32_t>(rng.canonical() * 9.0);
     // An LSB that is not a power of two, so the products round.
-    args = simd::ReconTailArgs{j0,       100.0 * rng.canonical(),
-                               1.2 / 16.0, 2500.0,
-                               0.125,    duration,
-                               625.0,    0.7978845608028654,
-                               keys.data(), memo_u.data()};
+    args = simd::ReconTailArgs{j0,
+                               count_prev,
+                               100.0 * rng.canonical(),
+                               1.2 / 16.0,
+                               2500.0,
+                               0.125,
+                               duration,
+                               625.0,
+                               0.7978845608028654,
+                               keys.data(),
+                               memo_u.data(),
+                               fast_lo == kNoFast ? kNoFast : j0 + fast_lo,
+                               fast_hi == kNoFast ? kNoFast : j0 + fast_hi,
+                               nullptr,
+                               0};
     const auto before = static_cast<std::uint8_t>(1 + rng.canonical() * 15);
     const auto after = static_cast<std::uint8_t>(1 + rng.canonical() * 15);
+    // Distinct, rising counts give distinct rates, so only lane `miss`
+    // misses (or a lane evicted by a memo slot collision, on every
+    // backend alike); a missing table lane is past the table's end when
+    // it holds the largest count, and a NaN entry otherwise.
+    std::vector<std::int32_t> count(n);
+    std::int32_t prev = count_prev;
     for (std::size_t i = 0; i < n; ++i) {
-      // Distinct counts give distinct rates, so only lane `miss` misses
-      // (or a lane evicted by a slot collision, on every backend alike).
-      cnt[i] = static_cast<std::int32_t>(4 * i) +
-               static_cast<std::int32_t>(rng.canonical() * 4.0);
+      count[i] = count_prev + static_cast<std::int32_t>(4 * i) +
+                 static_cast<std::int32_t>(rng.canonical() * 4.0);
+      cnt[i] = count[i] - prev;
+      prev = count[i];
       code[i] = i < change ? before : after;
       p_lo[i] = 60.0 * rng.canonical();
     }
+    const auto fast = [&](std::size_t i) {
+      return j0 + i >= args.fast_lo && j0 + i < args.fast_hi;
+    };
     for (std::size_t i = 0; i < n; ++i) {
-      if (i == miss) continue;
+      if (i == miss || !fast(i)) continue;
+      const auto c = static_cast<std::size_t>(count[i]);
+      u_by_count.resize(std::max(u_by_count.size(), c + 1),
+                        std::numeric_limits<Real>::quiet_NaN());
+      u_by_count[c] = 0.3 + rng.canonical();
+    }
+    args.u_by_count = u_by_count.data();
+    args.u_by_count_size = static_cast<std::int32_t>(u_by_count.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == miss || fast(i)) continue;
       const Real rate = simd::recon_rate_at(
-          args, j0 + i, static_cast<Real>(cnt[i]));
+          args, j0 + i, static_cast<Real>(count[i]));
       const auto key = std::bit_cast<std::uint64_t>(rate);
       keys[simd::rate_memo_slot(key)] = key;
       memo_u[simd::rate_memo_slot(key)] = 0.3 + rng.canonical();
@@ -267,10 +302,12 @@ struct ReconTailCase {
   }
 
   std::size_t run(const simd::KernelTable& kt, std::vector<Real>& out,
-                  std::vector<Real>& p_hi) const {
+                  std::vector<Real>& p_hi,
+                  std::vector<std::int32_t>& counts) const {
     out.assign(cnt.size(), -1.0);
     p_hi.assign(cnt.size(), -1.0);
-    return kt.recon_tail(args, cnt.data(), code.data(), p_hi.data(),
+    counts = cnt;
+    return kt.recon_tail(args, counts.data(), code.data(), p_hi.data(),
                          p_lo.data(), out.data(), cnt.size());
   }
 };
@@ -288,38 +325,57 @@ void expect_bitwise(const std::vector<Real>& got,
 // Raw recon_tail against the scalar table at every length 0..9 (all the
 // remainder-loop shapes of the 4- and 2-lane bodies), on the left record
 // edge (t_lo < 0), in the interior, past a known duration (t_hi
-// truncated), with a memo miss in every lane position and the held
-// threshold changing at the first, middle and last lane. The appended
-// prefix sums must match too, including which lanes a miss leaves
-// unwritten.
+// truncated), with a miss in every lane position and the held threshold
+// changing at the first, middle and last lane. Each case runs with no
+// count-table lanes, all lanes on the table, the table in the middle
+// (a memo span on each side) and a table run that starts at lane 2 (a
+// memo remainder, then a full 4-lane table block). The appended prefix
+// sums and the counts must match too, including which lanes a miss
+// leaves unwritten.
 TEST_P(SimdBackendMatrixTest, ReconTailMatchesScalarAtEveryLength) {
   const auto& scalar = simd::detail::scalar_table();
   const auto& kt = simd::table_for(GetParam());
   dsp::Rng rng(4242);
   const Real inf = std::numeric_limits<Real>::infinity();
   for (std::size_t n = 0; n <= 9; ++n) {
+    const std::pair<std::size_t, std::size_t> fast_runs[] = {
+        {kNoFast, kNoFast},
+        {0, n},
+        {std::min<std::size_t>(1, n), n > 1 ? n - 1 : n},
+        {std::min<std::size_t>(2, n), std::min<std::size_t>(7, n)}};
     for (const std::size_t j0 : {std::size_t{0}, std::size_t{300},
                                  std::size_t{49995}}) {
-      for (std::size_t miss = 0; miss <= n; ++miss) {
-        for (const std::size_t change :
-             {std::size_t{0}, n / 2, n > 0 ? n - 1 : 0}) {
-          const ReconTailCase c(j0, n, j0 > 40000 ? 20.0 : inf, miss, change,
-                                rng);
-          std::vector<Real> want, want_p, got, got_p;
-          const std::size_t k_want = c.run(scalar, want, want_p);
-          const std::size_t k_got = c.run(kt, got, got_p);
-          const std::string what = std::string(kt.name) +
-                                   " n=" + std::to_string(n) +
-                                   " j0=" + std::to_string(j0) +
-                                   " miss=" + std::to_string(miss) +
-                                   " change=" + std::to_string(change);
-          ASSERT_EQ(k_got, k_want) << what;
-          ASSERT_LE(k_want, miss);
-          expect_bitwise(got, want, what + " out");
-          expect_bitwise(got_p, want_p, what + " p_hi");
-          for (std::size_t i = 0; i < n; ++i) {
-            // Exactly p_hi[0..k] is appended, k = the missing lane.
-            ASSERT_EQ(got_p[i] != -1.0, i <= k_want) << what << " lane " << i;
+      for (const auto& [fast_lo, fast_hi] : fast_runs) {
+        for (std::size_t miss = 0; miss <= n; ++miss) {
+          for (const std::size_t change :
+               {std::size_t{0}, n / 2, n > 0 ? n - 1 : 0}) {
+            const ReconTailCase c(j0, n, j0 > 40000 ? 20.0 : inf, miss,
+                                  change, fast_lo, fast_hi, rng);
+            std::vector<Real> want, want_p, got, got_p;
+            std::vector<std::int32_t> want_c, got_c;
+            const std::size_t k_want = c.run(scalar, want, want_p, want_c);
+            const std::size_t k_got = c.run(kt, got, got_p, got_c);
+            const std::string what =
+                std::string(kt.name) + " n=" + std::to_string(n) +
+                " j0=" + std::to_string(j0) +
+                " fast=" + std::to_string(fast_lo) + ".." +
+                std::to_string(fast_hi) + " miss=" + std::to_string(miss) +
+                " change=" + std::to_string(change);
+            ASSERT_EQ(k_got, k_want) << what;
+            ASSERT_LE(k_want, miss);
+            expect_bitwise(got, want, what + " out");
+            expect_bitwise(got_p, want_p, what + " p_hi");
+            ASSERT_EQ(got_c, want_c) << what << " counts";
+            std::int32_t count = c.args.count_prev;
+            for (std::size_t i = 0; i < n; ++i) {
+              // Exactly p_hi[0..k] and cnt[0..k] are written, k = the
+              // missing lane; the counts are the running sum.
+              ASSERT_EQ(got_p[i] != -1.0, i <= k_want)
+                  << what << " lane " << i;
+              count += c.cnt[i];
+              ASSERT_EQ(got_c[i], i <= k_want ? count : c.cnt[i])
+                  << what << " count lane " << i;
+            }
           }
         }
       }
@@ -329,10 +385,12 @@ TEST_P(SimdBackendMatrixTest, ReconTailMatchesScalarAtEveryLength) {
 
 // recon_tail driven the way the emitter drives it: the prefix and step
 // rings share slots, each call runs to the next ring wrap of either
-// operand, and p_prev is read back from the ring. The block spans several
-// wraps; with h = 0 and 1, p_lo reads sums the same call just appended.
-// Every backend must reproduce the prefix sums and outputs of the plain
-// linear computation.
+// operand or to the end of the count-table run, p_prev and count_prev are
+// read back from the previous call, and a miss fills the table or memo
+// it missed. The block spans several wraps; with h = 0 and 1, p_lo reads
+// sums the same call just appended. The middle third of the block is on
+// the count table. Every backend must reproduce the prefix sums, counts
+// and outputs of the plain linear computation.
 TEST_P(SimdBackendMatrixTest, ReconTailFoldsPrefixAcrossRingWrap) {
   const auto& kt = simd::table_for(GetParam());
   dsp::Rng rng(777);
@@ -346,10 +404,22 @@ TEST_P(SimdBackendMatrixTest, ReconTailFoldsPrefixAcrossRingWrap) {
     std::vector<std::uint64_t> keys(simd::kRateMemoSlots,
                                     simd::kRateMemoEmpty);
     std::vector<Real> memo_u(simd::kRateMemoSlots, 0.0);
-    simd::ReconTailArgs args{0,   0.0, 1.2 / 16.0, 2500.0, 0.125,
+    std::vector<Real> u_by_count;
+    simd::ReconTailArgs args{0,
+                             0,
+                             0.0,
+                             1.2 / 16.0,
+                             2500.0,
+                             0.125,
                              std::numeric_limits<Real>::infinity(),
-                             static_cast<Real>(w), 0.7978845608028654,
-                             keys.data(), memo_u.data()};
+                             static_cast<Real>(w),
+                             0.7978845608028654,
+                             keys.data(),
+                             memo_u.data(),
+                             j_start + n / 3,
+                             j_start + 2 * n / 3,
+                             nullptr,
+                             0};
     // Held codes in runs of a few samples; the linear prefix of lsb * code.
     std::vector<std::uint8_t> vth(last);
     std::uint8_t held = 1;
@@ -363,23 +433,36 @@ TEST_P(SimdBackendMatrixTest, ReconTailFoldsPrefixAcrossRingWrap) {
     for (std::size_t k = 0; k < last; ++k) {
       prefix[k + 1] = prefix[k] + args.lsb * static_cast<Real>(vth[k]);
     }
-    // Counts from a small set; u depends on the count only, and a memo
-    // miss (a slot collision) is resolved the way the emitter does it.
-    std::vector<std::int32_t> cnt(n);
+    // Counts from a small set, passed as changes; u depends on the count
+    // only, so both tables agree, and a miss is resolved the way the
+    // emitter does it.
+    std::vector<std::int32_t> count(n);
+    std::vector<std::int32_t> delta(n);
     std::vector<Real> want(n);
     const auto u_of = [&](std::size_t i) {
-      return 0.3 + static_cast<Real>(cnt[i]) / 7.0;
+      return 0.3 + static_cast<Real>(count[i]) / 7.0;
+    };
+    const auto fast = [&](std::size_t i) {
+      return j_start + i >= args.fast_lo && j_start + i < args.fast_hi;
     };
     const auto remember = [&](std::size_t i) {
+      if (fast(i)) {
+        const auto c = static_cast<std::size_t>(count[i]);
+        u_by_count.resize(std::max(u_by_count.size(), c + 1),
+                          std::numeric_limits<Real>::quiet_NaN());
+        u_by_count[c] = u_of(i);
+        return;
+      }
       const auto key = std::bit_cast<std::uint64_t>(
-          simd::recon_rate_at(args, j_start + i, cnt[i]));
+          simd::recon_rate_at(args, j_start + i, count[i]));
       keys[simd::rate_memo_slot(key)] = key;
       memo_u[simd::rate_memo_slot(key)] = u_of(i);
     };
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t j = j_start + i;
-      cnt[i] = static_cast<std::int32_t>(rng.canonical() * 5.0);
-      remember(i);
+      count[i] = static_cast<std::int32_t>(rng.canonical() * 5.0);
+      delta[i] = count[i] - (i > 0 ? count[i - 1] : 0);
+      if (!fast(i)) remember(i);
       want[i] =
           simd::recon_arv(args, prefix[j + h + 1] - prefix[j - h], u_of(i));
     }
@@ -392,23 +475,29 @@ TEST_P(SimdBackendMatrixTest, ReconTailFoldsPrefixAcrossRingWrap) {
       p_ring[k % ring] = prefix[k];
     }
     std::vector<Real> got(n, -1.0);
+    std::vector<std::int32_t> got_c = delta;
     std::size_t calls = 0;
+    std::size_t table_misses = 0;
     for (std::size_t j = j_start; j < j_start + n;) {
       const std::size_t ih = (j + h + 1) % ring;
       const std::size_t il = (j - h) % ring;
-      const std::size_t seg =
-          std::min({j_start + n - j, ring - ih, ring - il});
+      std::size_t seg = std::min({j_start + n - j, ring - ih, ring - il});
+      if (j < args.fast_hi) seg = std::min(seg, args.fast_hi - j);
       for (std::size_t i = 0; i < seg; ++i) c_ring[ih + i] = vth[j + h + i];
       args.j0 = j;
+      args.count_prev = j > j_start ? got_c[j - j_start - 1] : 0;
       args.p_prev = p_ring[(j + h) % ring];
+      args.u_by_count = u_by_count.data();
+      args.u_by_count_size = static_cast<std::int32_t>(u_by_count.size());
       const std::size_t done = kt.recon_tail(
-          args, cnt.data() + (j - j_start), c_ring.data() + ih,
+          args, got_c.data() + (j - j_start), c_ring.data() + ih,
           p_ring.data() + ih, p_ring.data() + il, got.data() + (j - j_start),
           seg);
       j += done;
       ++calls;
       if (done < seg) {  // the kernel appended the missing sample's P
         const std::size_t i = j - j_start;
+        table_misses += fast(i) ? 1 : 0;
         remember(i);
         got[i] = simd::recon_arv(
             args, p_ring[(j + h + 1) % ring] - p_ring[(j - h) % ring],
@@ -417,8 +506,11 @@ TEST_P(SimdBackendMatrixTest, ReconTailFoldsPrefixAcrossRingWrap) {
       }
     }
     EXPECT_GT(calls, 3u);
+    EXPECT_GT(table_misses, 0u);
+    EXPECT_LE(table_misses, 5u) << "one table miss per distinct count";
     expect_bitwise(got, want, std::string(kt.name) + " h=" +
                                   std::to_string(h) + " out");
+    EXPECT_EQ(got_c, count) << kt.name << " h=" << h << " counts";
     for (std::size_t k = last + 1 - ring; k <= last; ++k) {
       ASSERT_EQ(std::bit_cast<std::uint64_t>(p_ring[k % ring]),
                 std::bit_cast<std::uint64_t>(prefix[k]))
