@@ -6,6 +6,8 @@
 namespace datc::core {
 
 void EventStream::sort_by_time() {
+  // A stable sort of sorted input is the identity; skip its buffer.
+  if (is_time_sorted()) return;
   std::stable_sort(events_.begin(), events_.end(),
                    [](const Event& a, const Event& b) {
                      return a.time_s < b.time_s;

@@ -42,7 +42,9 @@ void for_each_index(ThreadPool* pool, std::size_t n, const Fn& fn) {
 }  // namespace
 
 PipelineRunner::PipelineRunner(const RunnerConfig& config)
-    : config_(config), eval_(config.eval) {}
+    : config_(config),
+      eval_(config.eval),
+      radio_(uwb::datc_radio(config.link, config.eval.dtc.dac_bits)) {}
 
 PipelineRunner::~PipelineRunner() = default;
 
@@ -63,9 +65,8 @@ ChannelReport PipelineRunner::run_channel(const emg::Recording& rec,
   out.events_tx = tx.size();
 
   // Private link per channel, seeded deterministically.
-  uwb::LinkConfig link = config_.link;
-  link.seed = config_.link.seed ^ static_cast<std::uint64_t>(channel_id);
-  auto link_run = uwb::run_datc_over_link(tx, link, config_.eval.dtc.dac_bits);
+  auto link_run = uwb::run_over_link(
+      tx, radio_, config_.link.seed ^ static_cast<std::uint64_t>(channel_id));
   out.pulses_tx = link_run.pulses_tx;
   out.pulses_erased = link_run.pulses_erased;
   auto events_rx = std::move(link_run.events_rx);

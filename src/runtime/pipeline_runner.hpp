@@ -2,7 +2,7 @@
 // Multi-channel, multi-threaded encoding engine: shards N independent EMG
 // channels across a thread pool and runs encode -> UWB link -> reconstruct
 // per channel through the block-mode hot paths (EventArena sink, fused
-// encode kernel, cached-detection receiver).
+// encode kernel, the one-pass StreamingRadio).
 //
 // Two link topologies:
 //  - kPerChannel: every channel gets its own private radio, seeded
@@ -19,10 +19,10 @@
 // channel mode) or the single shared radio draws from Rng(link.seed)
 // (shared mode) and every worker writes only its own output slot, so the
 // parallel run is bit-identical to the serial run — and, because every
-// fast path is proven bit-identical to its reference (encode_datc,
-// UwbReceiver reference decode), also to the seed per-cycle pipeline
-// with the same per-channel seeds (the test-only oracle in
-// tests/pipeline_reference.hpp). Tests assert both properties.
+// fast path is proven bit-identical to its reference (encode_datc, the
+// staged modulate -> propagate -> UwbReceiver link), also to the seed
+// per-cycle pipeline with the same per-channel seeds (the test-only
+// oracle in tests/pipeline_reference.hpp). Tests assert both properties.
 
 #include <cstdint>
 #include <memory>
@@ -34,6 +34,7 @@
 #include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
 #include "uwb/receiver.hpp"
+#include "uwb/streaming_link.hpp"
 
 namespace datc::runtime {
 
@@ -119,6 +120,9 @@ class PipelineRunner {
  private:
   RunnerConfig config_;
   emg::Evaluator eval_;
+  /// The private radios' shared constants (detection probability, frame
+  /// layout), built once; each channel seeds its own radio from it.
+  uwb::RadioPlan radio_;
   std::unique_ptr<ThreadPool> pool_;
 
   [[nodiscard]] BatchReport run_batch(

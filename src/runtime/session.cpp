@@ -19,39 +19,12 @@ namespace datc::runtime {
 
 namespace {
 
-/// Receiver configuration shared by both session flavours — must mirror
-/// run_datc_over_link / run_aer_over_link exactly.
-uwb::UwbReceiverConfig receiver_config(const SessionConfig& config,
-                                       const uwb::ModulatorConfig& mod,
-                                       unsigned address_bits,
-                                       bool cache_detection) {
-  uwb::UwbReceiverConfig rxc;
-  rxc.detector = config.link.detector;
-  rxc.modulator = mod;
-  rxc.address_bits = address_bits;
-  rxc.decode_codes = true;
-  rxc.cache_detection = cache_detection;
-  return rxc;
-}
-
+/// The frame layout of both session flavours: the link's modulator with
+/// one code slot per DAC bit.
 uwb::ModulatorConfig frame_modulator(const SessionConfig& config) {
   uwb::ModulatorConfig mod = config.link.modulator;
   mod.code_bits = config.encoder.dtc.dac_bits;
   return mod;
-}
-
-/// The two link Rng streams, derived exactly as the batch link functions
-/// derive them (channel stream = the seed engine after forking off the
-/// receiver stream).
-struct LinkRngs {
-  dsp::Rng rx;
-  dsp::Rng channel;
-};
-
-LinkRngs link_rngs(std::uint64_t seed) {
-  dsp::Rng rng(seed);
-  dsp::Rng rx = rng.fork();
-  return LinkRngs{rx, rng};
 }
 
 }  // namespace
@@ -94,12 +67,10 @@ StreamingSession::StreamingSession(const SessionConfig& config,
       encoder_(config.encoder, config.analog_fs_hz,
                core::ArenaSink{&events_chunk_},
                static_cast<std::uint16_t>(channel_id & 0xffffu)),
-      modulator_(frame_modulator(config), /*address_bits=*/0),
-      channel_(config.link.channel,
-               link_rngs(config.link.seed ^ channel_id).channel),
-      receiver_(receiver_config(config, frame_modulator(config), 0, true),
-                config.link.channel,
-                link_rngs(config.link.seed ^ channel_id).rx),
+      // Single-channel frames carry no address field (the channel tag
+      // rides on the event struct only): modulate_datc's layout.
+      radio_(uwb::datc_radio(config.link, config.encoder.dtc.dac_bits),
+             config.link.seed ^ channel_id),
       reconstructor_(config.recon, config.calibration),
       health_(config.health) {
   dsp::require(config_.calibration != nullptr,
@@ -107,20 +78,9 @@ StreamingSession::StreamingSession(const SessionConfig& config,
 }
 
 void StreamingSession::run_link_chunk(Real watermark, bool flush) {
-  // Single-channel frames carry no address field (the channel tag rides
-  // on the event struct only), so the pulse layout is modulate_datc's.
-  tx_chunk_.clear();
-  modulator_.modulate_chunk(events_chunk_.events(), tx_chunk_);
-
-  rx_chunk_.clear();
-  channel_.propagate_chunk(tx_chunk_, watermark, rx_chunk_);
-  if (flush) channel_.flush(rx_chunk_);
-
   decoded_chunk_.clear();
-  receiver_.decode_chunk(rx_chunk_,
-                         flush ? std::numeric_limits<Real>::infinity()
-                               : channel_.release_watermark(),
-                         decoded_chunk_);
+  radio_.push(events_chunk_.events(), watermark, decoded_chunk_);
+  if (flush) radio_.flush(decoded_chunk_);
   events_rx_ += decoded_chunk_.size();
   if (config_.keep_rx_events) {
     for (const auto& e : decoded_chunk_.events()) {
@@ -135,8 +95,8 @@ void StreamingSession::run_link_chunk(Real watermark, bool flush) {
   // code bits (noise decoded as data). The monitor never changes the
   // chain while disabled or healthy, preserving bit-identicality.
   const Real duration = static_cast<Real>(samples_in_) / config_.analog_fs_hz;
-  const std::uint64_t bad_bits = receiver_.stats().false_alarm_bits;
-  health_.observe(flush ? duration : receiver_.event_time_watermark(),
+  const std::uint64_t bad_bits = radio_.stats().false_alarm_bits;
+  health_.observe(flush ? duration : radio_.event_time_watermark(),
                   decoded_chunk_.size(),
                   static_cast<std::size_t>(bad_bits - last_bad_bits_));
   last_bad_bits_ = bad_bits;
@@ -153,7 +113,7 @@ void StreamingSession::run_link_chunk(Real watermark, bool flush) {
   if (flush) {
     if (samples_in_ > 0) reconstructor_.finish(duration);
   } else {
-    reconstructor_.advance_to(receiver_.event_time_watermark());
+    reconstructor_.advance_to(radio_.event_time_watermark());
   }
   const std::size_t before = arv_.size();
   reconstructor_.drain(arv_);
@@ -201,14 +161,14 @@ SessionReport StreamingSession::report() const {
   r.channel = channel_id_;
   r.samples_in = samples_in_;
   r.events_tx = encoder_.events_emitted();
-  r.pulses_tx = modulator_.pulses_emitted();
-  r.pulses_erased = channel_.erased();
+  r.pulses_tx = radio_.pulses_tx();
+  r.pulses_erased = radio_.erased();
   r.events_rx = events_rx_;
   r.arv_emitted = arv_emitted_;
   r.events_quarantined = events_quarantined_;
   r.arv_held = arv_held_;
   r.health_trips = health_.trips();
-  r.decode = receiver_.stats();
+  r.decode = radio_.stats();
   return r;
 }
 
@@ -220,12 +180,10 @@ SessionReport StreamingSession::take_delta() {
 }
 
 std::size_t StreamingSession::buffered_bytes() const {
-  return channel_.buffered() * sizeof(uwb::PulseEmission) +
-         receiver_.pending() * sizeof(uwb::PulseEmission) +
-         reconstructor_.buffered_bytes() + arv_.capacity() * sizeof(Real) +
-         tx_chunk_.pulses().capacity() * sizeof(uwb::PulseEmission) +
-         rx_chunk_.pulses().capacity() * sizeof(uwb::PulseEmission) +
-         events_chunk_.capacity() * sizeof(core::Event);
+  return radio_.buffered_bytes() + reconstructor_.buffered_bytes() +
+         arv_.capacity() * sizeof(Real) +
+         events_chunk_.capacity() * sizeof(core::Event) +
+         decoded_chunk_.capacity() * sizeof(core::Event);
 }
 
 // ----------------------------------------------- SharedAerStreamingSession
@@ -235,12 +193,9 @@ SharedAerStreamingSession::SharedAerStreamingSession(
     std::size_t num_channels)
     : config_(config),
       arbiter_(shared.aer, num_channels),
-      modulator_(frame_modulator(config), shared.aer.address_bits),
-      channel_(config.link.channel, link_rngs(config.link.seed).channel),
-      receiver_(receiver_config(config, frame_modulator(config),
-                                shared.aer.address_bits,
-                                shared.cache_detection),
-                config.link.channel, link_rngs(config.link.seed).rx),
+      radio_(uwb::datc_radio(config.link, config.encoder.dtc.dac_bits,
+                             shared.aer.address_bits),
+             config.link.seed),
       ledger_(shared.aer, uwb::aer_frame_duration_s(frame_modulator(config),
                                                     shared.aer.address_bits)),
       health_(config.health) {
@@ -270,18 +225,9 @@ SharedAerStreamingSession::SharedAerStreamingSession(
 void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
                                                Real recon_watermark_cap,
                                                bool flush) {
-  tx_chunk_.clear();
-  modulator_.modulate_chunk(merged_chunk_.events(), tx_chunk_);
-
-  rx_chunk_.clear();
-  channel_.propagate_chunk(tx_chunk_, merged_watermark, rx_chunk_);
-  if (flush) channel_.flush(rx_chunk_);
-
   decoded_chunk_.clear();
-  receiver_.decode_chunk(rx_chunk_,
-                         flush ? std::numeric_limits<Real>::infinity()
-                               : channel_.release_watermark(),
-                         decoded_chunk_);
+  radio_.push(merged_chunk_.events(), merged_watermark, decoded_chunk_);
+  if (flush) radio_.flush(decoded_chunk_);
 
   if (event_tee_ && !decoded_chunk_.empty()) {
     event_tee_(decoded_chunk_.events());
@@ -291,7 +237,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
   ledger_.push_decoded(decoded_chunk_.events());
   ledger_.advance(merged_watermark,
                   flush ? std::numeric_limits<Real>::infinity()
-                        : receiver_.event_time_watermark());
+                        : radio_.event_time_watermark());
 
   // Decode health is link-wide in shared mode: one radio, one monitor.
   // The garbage signal is demux address errors (decoded frames whose
@@ -304,7 +250,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
     (e.channel < encoders_.size() ? chunk_good : chunk_bad) += 1;
   }
   health_.observe(flush ? duration
-                        : std::min(receiver_.event_time_watermark(),
+                        : std::min(radio_.event_time_watermark(),
                                    recon_watermark_cap),
                   chunk_good, chunk_bad);
   const bool hold = !health_.healthy();
@@ -332,7 +278,7 @@ void SharedAerStreamingSession::run_link_chunk(Real merged_watermark,
   // record end, but the reconstruction watermark must never exceed the
   // final duration — cap it at the newest sample's record time.
   const Real event_watermark =
-      std::min(receiver_.event_time_watermark(), recon_watermark_cap);
+      std::min(radio_.event_time_watermark(), recon_watermark_cap);
   for (std::size_t c = 0; c < reconstructors_.size(); ++c) {
     if (flush) {
       if (samples_in_per_channel_ > 0) reconstructors_[c]->finish(duration);

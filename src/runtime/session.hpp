@@ -10,7 +10,8 @@
 // ARV samples of the batch link chain (run_datc_over_link /
 // run_aer_over_link plus the batch reconstructor). Each stage guarantees
 // this through watermarks and split Rng streams — see
-// uwb/streaming_link.hpp and core/streaming_reconstruct.hpp. Tests sweep
+// uwb/streaming_link.hpp and core/streaming_reconstruct.hpp; the radio is
+// one uwb::StreamingRadio, the same one the batch link runs. Tests sweep
 // chunk sizes {1, 7, 64, 4096, whole record} against the batch chain.
 //
 // SessionManager multiplexes many concurrent sessions over the thread
@@ -40,7 +41,6 @@
 #include "fault/health.hpp"
 #include "uwb/aer.hpp"
 #include "uwb/link_pipeline.hpp"
-#include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
 #include "uwb/streaming_link.hpp"
 
@@ -141,7 +141,8 @@ class StreamingSession final : public Session {
   [[nodiscard]] const core::EventStream& rx_events() const {
     return rx_events_;
   }
-  /// Working-set proxy (reorder + reassembly + reconstruction buffers).
+  /// Working-set proxy: the radio's time buffers (air, jitter block,
+  /// open frames), reconstruction state and the chunk buffers.
   [[nodiscard]] std::size_t buffered_bytes() const;
   [[nodiscard]] std::size_t peak_buffered_bytes() const { return peak_bytes_; }
 
@@ -150,12 +151,8 @@ class StreamingSession final : public Session {
   std::uint32_t channel_id_;
   core::EventArena events_chunk_;
   core::StreamingDatcEncoderT<core::ArenaSink> encoder_;
-  uwb::StreamingModulator modulator_;
-  uwb::StreamingChannel channel_;
-  uwb::StreamingUwbReceiver receiver_;
+  uwb::StreamingRadio radio_;
   core::StreamingDatcReconstructor reconstructor_;
-  uwb::PulseTrain tx_chunk_;
-  uwb::PulseTrain rx_chunk_;
   core::EventStream decoded_chunk_;
   std::vector<Real> arv_;
   core::EventStream rx_events_;
@@ -204,7 +201,7 @@ class SharedAerStreamingSession final : public Session {
   }
   [[nodiscard]] const uwb::AerStats& demux_stats() const { return demux_; }
   [[nodiscard]] const uwb::DecodeStats& decode_stats() const {
-    return receiver_.stats();
+    return radio_.stats();
   }
   /// TX <-> RX ledger over every frame settled so far (all of them once
   /// finished).
@@ -215,10 +212,8 @@ class SharedAerStreamingSession final : public Session {
   [[nodiscard]] const core::EventStream& rx_events(std::size_t channel) const {
     return rx_events_[channel];
   }
-  [[nodiscard]] std::size_t pulses_tx() const {
-    return modulator_.pulses_emitted();
-  }
-  [[nodiscard]] std::size_t pulses_erased() const { return channel_.erased(); }
+  [[nodiscard]] std::size_t pulses_tx() const { return radio_.pulses_tx(); }
+  [[nodiscard]] std::size_t pulses_erased() const { return radio_.erased(); }
   /// Link-wide health monitor (one radio → one monitor; bad = demux
   /// invalid-address outcomes).
   [[nodiscard]] const fault::DecodeHealthMonitor& health() const {
@@ -231,16 +226,12 @@ class SharedAerStreamingSession final : public Session {
   std::vector<std::unique_ptr<core::StreamingDatcEncoderT<core::ArenaSink>>>
       encoders_;
   uwb::AerArbiter arbiter_;
-  uwb::StreamingModulator modulator_;
-  uwb::StreamingChannel channel_;
-  uwb::StreamingUwbReceiver receiver_;
+  uwb::StreamingRadio radio_;
   uwb::AerLedger ledger_;
   std::vector<std::unique_ptr<core::StreamingDatcReconstructor>>
       reconstructors_;
   uwb::AerStats demux_{};
   core::EventStream merged_chunk_;
-  uwb::PulseTrain tx_chunk_;
-  uwb::PulseTrain rx_chunk_;
   core::EventStream decoded_chunk_;
   EventTee event_tee_;
   std::vector<std::vector<Real>> arv_;

@@ -8,13 +8,16 @@
 #include "core/event_arena.hpp"
 #include "core/reconstruct.hpp"
 #include "core/symbols.hpp"
+#include "dsp/rng.hpp"
 #include "dsp/types.hpp"
 #include "emg/evaluation.hpp"
 #include "runtime/session.hpp"
 #include "store/recorder.hpp"
 #include "uwb/aer.hpp"
+#include "uwb/channel.hpp"
 #include "uwb/link_pipeline.hpp"
 #include "uwb/modulator.hpp"
+#include "uwb/receiver.hpp"
 
 namespace datc::sim {
 
@@ -75,22 +78,31 @@ StreamParityResult check_stream_output(const dsp::TimeSeries& emg_v,
   StreamParityResult out;
   out.chunk_size = chunk_size;
 
-  // ---- batch reference: the PipelineRunner per-channel pipeline.
+  // ---- batch reference: the PipelineRunner per-channel pipeline, its
+  // radio run stage by stage (the session runs the fused StreamingRadio
+  // the batch link also runs, so only the staged chain is an oracle).
   core::EventArena arena;
   core::encode_datc_events(emg_v, emg::datc_encoder_config(eval), arena);
   const core::EventStream tx = arena.take_stream();
-  uwb::LinkConfig link_c = link;
-  link_c.seed = link.seed ^ static_cast<std::uint64_t>(channel_id);
-  auto link_run = uwb::run_datc_over_link(tx, link_c, eval.dtc.dac_bits);
-  link_run.events_rx.sort_by_time();
+  uwb::UwbReceiverConfig rxc;
+  rxc.detector = link.detector;
+  rxc.modulator = link.modulator;
+  rxc.modulator.code_bits = eval.dtc.dac_bits;
+  const uwb::PulseTrain train = uwb::modulate_datc(tx, rxc.modulator);
+  dsp::Rng rng(link.seed ^ static_cast<std::uint64_t>(channel_id));
+  dsp::Rng rx_rng = rng.fork();
+  const auto air = uwb::propagate(train, link.channel, rng);
+  uwb::UwbReceiver receiver(rxc, link.channel, rx_rng);
+  core::EventStream events_rx = receiver.decode(air.received);
+  events_rx.sort_by_time();
   const Real duration = emg_v.duration_s();
   const core::DatcReconstructor recon(emg::datc_reconstruction_config(eval),
                                       calibration);
-  const auto arv_batch = recon.reconstruct(link_run.events_rx, duration);
+  const auto arv_batch = recon.reconstruct(events_rx, duration);
 
-  out.events_batch = link_run.events_rx.size();
+  out.events_batch = events_rx.size();
   out.events_stream = rx_events.size();
-  out.events_equal = events_match(link_run.events_rx, rx_events);
+  out.events_equal = events_match(events_rx, rx_events);
   compare_arv(arv_batch, arv, out);
   return out;
 }

@@ -44,9 +44,9 @@ ChannelResult propagate(const PulseTrain& tx, const ChannelConfig& config,
   const Real gain = channel_gain(config);
   if (config.erasure_prob <= 0.0) {
     // Erasure-free channel: the jitter draws are the only Rng consumption,
-    // so they batch into one fill_gaussian (identical draw sequence to the
-    // per-pulse split below and to StreamingChannel's chunked fills — the
-    // batch/streaming parity tests hold on this stream by construction).
+    // so they batch into one fill_gaussian (identical draw sequence to
+    // per-pulse gaussian_bm() calls and to StreamingRadio's block fills —
+    // the radio parity tests hold on this stream by construction).
     std::vector<Real> jitter;
     if (config.jitter_rms_s > 0.0 && tx.size() > 0) {
       jitter.resize(tx.size());
@@ -70,7 +70,7 @@ ChannelResult propagate(const PulseTrain& tx, const ChannelConfig& config,
       rx.amplitude_v = p.amplitude_v * gain;
       if (config.jitter_rms_s > 0.0) {
         // datc-lint: allow(hot-rng) — interleaved with erasure decisions;
-        // see StreamingChannel::propagate_chunk.
+        // see StreamingRadio::transmit.
         rx.time_s += config.jitter_rms_s * rng.gaussian_bm();
       }
       out.received.add(rx);

@@ -1,10 +1,11 @@
 #pragma once
-// The batch TX -> RX link stage: modulate an event stream, propagate it
-// through the channel, decode with the energy-detection receiver. The
-// batch engine's private radios (runtime::PipelineRunner::run_channel)
-// run through these functions, and so does the streaming parity
-// reference; the streaming sessions derive their Rng streams and
-// receiver exactly as they do, so the paths cannot drift.
+// The batch TX -> RX link: one StreamingRadio (uwb/streaming_link.hpp)
+// fed a whole event stream, then flushed. The batch engine's private
+// radios (runtime::PipelineRunner::run_channel) run through these
+// functions, and the streaming sessions run the same radio chunk by
+// chunk, so the paths cannot drift. run_aer_over_link stays staged
+// (modulate_aer -> propagate -> UwbReceiver): it is the reference the
+// shared-AER session is checked against.
 
 #include <cstdint>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "uwb/channel.hpp"
 #include "uwb/modulator.hpp"
 #include "uwb/receiver.hpp"
+#include "uwb/streaming_link.hpp"
 
 namespace datc::uwb {
 
@@ -23,16 +25,26 @@ struct LinkConfig {
   std::uint64_t seed{7};
 };
 
-/// One TX -> RX pass over the UWB link: modulate the packet stream,
-/// propagate, decode with an energy-detection receiver (per-pulse
-/// detection probability memoised, bit-identical to the uncached
-/// receiver), sort by time.
+/// The radio of D-ATC packets over `link`: marker, then `address_bits`
+/// AER address slots (0 = a private link), then `code_bits` code slots.
+[[nodiscard]] RadioPlan datc_radio(const LinkConfig& link, unsigned code_bits,
+                                   unsigned address_bits = 0);
+
+/// The radio of plain ATC over `link`: one marker pulse per event.
+[[nodiscard]] RadioPlan atc_radio(const LinkConfig& link);
+
+/// One TX -> RX pass over the UWB link; events_rx is in time order.
 struct LinkRun {
   std::size_t pulses_tx{0};
   std::size_t pulses_erased{0};
   core::EventStream events_rx;
   DecodeStats decode{};
 };
+
+/// The whole stream through one radio of `plan` seeded `seed`, flushed.
+[[nodiscard]] LinkRun run_over_link(const core::EventStream& tx,
+                                    const RadioPlan& plan,
+                                    std::uint64_t seed);
 
 /// D-ATC packets: marker plus `code_bits` code slots per event.
 [[nodiscard]] LinkRun run_datc_over_link(const core::EventStream& tx,

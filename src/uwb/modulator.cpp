@@ -13,39 +13,49 @@ namespace {
 /// on a shared radio cost a few moves per pulse at most.
 constexpr std::size_t kReorderMovesPerPulse = 8;
 
-}  // namespace
-
-bool reorder_by_time(std::span<PulseEmission> pulses) {
-  const auto by_time = [](const PulseEmission& a, const PulseEmission& b) {
-    return a.time_s < b.time_s;
+/// reorder_by_time over any items, ordered by `key` (their time).
+template <typename T, typename Key>
+bool reorder_by(std::span<T> items, const Key& key) {
+  const auto by_time = [&key](const T& a, const T& b) {
+    return key(a) < key(b);
   };
   const auto unsorted =
-      std::is_sorted_until(pulses.begin(), pulses.end(), by_time);
-  if (unsorted == pulses.end()) return false;  // in order: nothing written
-  const std::size_t n = pulses.size();
-  std::size_t i = static_cast<std::size_t>(unsorted - pulses.begin());
+      std::is_sorted_until(items.begin(), items.end(), by_time);
+  if (unsorted == items.end()) return false;  // in order: nothing written
+  const std::size_t n = items.size();
+  std::size_t i = static_cast<std::size_t>(unsorted - items.begin());
   std::size_t budget = kReorderMovesPerPulse * n;
   for (; i < n; ++i) {
-    if (!(pulses[i].time_s < pulses[i - 1].time_s)) continue;
+    if (!(key(items[i]) < key(items[i - 1]))) continue;
     // Shift strictly later predecessors right; equal times stay ahead of
-    // the inserted pulse, which is what makes the reorder stable.
-    const PulseEmission p = pulses[i];
+    // the inserted item, which is what makes the reorder stable.
+    const T p = items[i];
     std::size_t j = i;
     do {
       if (budget == 0) {
-        // Parking the pulse here keeps a stable permutation of the input,
+        // Parking the item here keeps a stable permutation of the input,
         // so the stable sort of it equals the stable sort of the input.
-        pulses[j] = p;
-        std::stable_sort(pulses.begin(), pulses.end(), by_time);
+        items[j] = p;
+        std::stable_sort(items.begin(), items.end(), by_time);
         return true;
       }
-      pulses[j] = pulses[j - 1];
+      items[j] = items[j - 1];
       --j;
       --budget;
-    } while (j > 0 && p.time_s < pulses[j - 1].time_s);
-    pulses[j] = p;
+    } while (j > 0 && key(p) < key(items[j - 1]));
+    items[j] = p;
   }
   return false;
+}
+
+}  // namespace
+
+bool reorder_by_time(std::span<PulseEmission> pulses) {
+  return reorder_by(pulses, [](const PulseEmission& p) { return p.time_s; });
+}
+
+bool reorder_by_time(std::span<Real> times) {
+  return reorder_by(times, [](Real t) { return t; });
 }
 
 void PulseTrain::sort_by_time() { (void)reorder_by_time(pulses_); }
@@ -107,10 +117,8 @@ void emit_field(PulseTrain& train, const ModulatorConfig& config, Real t0,
   }
 }
 
-}  // namespace
-
-namespace detail {
-
+/// Appends one event's frame — marker, then the optional AER address
+/// field, then the code field — to the train.
 void emit_frame(PulseTrain& train, const ModulatorConfig& config,
                 unsigned address_bits, const core::Event& event,
                 std::uint32_t id) {
@@ -127,7 +135,7 @@ void emit_frame(PulseTrain& train, const ModulatorConfig& config,
              /*first_slot=*/1 + address_bits, id);
 }
 
-}  // namespace detail
+}  // namespace
 
 PulseTrain modulate_datc(const core::EventStream& events,
                          const ModulatorConfig& config) {
@@ -140,7 +148,7 @@ PulseTrain modulate_datc(const core::EventStream& events,
   train.reserve(events.size() * (1 + config.code_bits));
   std::uint32_t id = 0;
   for (const auto& e : events.events()) {
-    detail::emit_frame(train, config, /*address_bits=*/0, e, id);
+    emit_frame(train, config, /*address_bits=*/0, e, id);
     ++id;
   }
   return train;
@@ -159,7 +167,7 @@ PulseTrain modulate_aer(const core::EventStream& events,
   train.reserve(events.size() * (1 + address_bits + config.code_bits));
   std::uint32_t id = 0;
   for (const auto& e : events.events()) {
-    detail::emit_frame(train, config, address_bits, e, id);
+    emit_frame(train, config, address_bits, e, id);
     ++id;
   }
   return train;

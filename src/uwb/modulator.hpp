@@ -2,7 +2,10 @@
 // Event-to-pulse modulator. ATC radiates one bare pulse per event; D-ATC
 // radiates the Fig. 2E packet: a marker pulse followed by the Set_Vth code
 // in OOK bit slots. Pulses are represented symbolically (time, amplitude);
-// waveform rendering is only needed for PSD/mask analysis.
+// waveform rendering is only needed for PSD/mask analysis. The streaming
+// radio (uwb/streaming_link.hpp) emits the same slot layout as bare times
+// without building a PulseTrain; these staged functions are its
+// reference.
 
 #include <cstdint>
 #include <span>
@@ -34,10 +37,6 @@ class PulseTrain {
   /// train is already in order.
   void sort_by_time();
 
-  /// Drop the pulses, keep the allocation (per-chunk buffer reuse in the
-  /// streaming paths).
-  void clear() { pulses_.clear(); }
-
   /// Renders the train into a sampled waveform over [t0, t1) at fs_hz.
   /// Meant for short PSD-analysis windows — rendering 20 s at 20 GS/s is
   /// deliberately not supported (throws above `max_samples`).
@@ -56,6 +55,8 @@ class PulseTrain {
 /// std::stable_sort past that budget. The budget bounds the time taken,
 /// never the result. Returns true when the fallback ran.
 [[nodiscard]] bool reorder_by_time(std::span<PulseEmission> pulses);
+/// The same reorder over bare pulse times (the streaming radio's buffer).
+[[nodiscard]] bool reorder_by_time(std::span<Real> times);
 
 struct ModulatorConfig {
   PulseShapeConfig shape{};
@@ -80,18 +81,6 @@ struct ModulatorConfig {
 [[nodiscard]] PulseTrain modulate_aer(const core::EventStream& events,
                                       const ModulatorConfig& config,
                                       unsigned address_bits);
-
-namespace detail {
-
-/// Appends one event's frame — marker, then the optional AER address
-/// field, then the code field — to the train. Shared by the batch
-/// modulators and StreamingModulator so the pulse layout cannot drift
-/// between the two paths.
-void emit_frame(PulseTrain& train, const ModulatorConfig& config,
-                unsigned address_bits, const core::Event& event,
-                std::uint32_t id);
-
-}  // namespace detail
 
 /// Total on-air duration of one D-ATC packet.
 [[nodiscard]] Real packet_duration_s(const ModulatorConfig& config);

@@ -7,10 +7,12 @@
 // D-ATC events from marker + OOK bit slots, with honest failure modes
 // (missed markers, bit errors, stray detections promoted to markers).
 //
-// The decode machinery itself lives in StreamingUwbReceiver
-// (uwb/streaming_link.hpp), which keeps open-packet state across chunked
-// calls; UwbReceiver is the whole-train wrapper over that core, so the
-// batch and streaming paths cannot drift.
+// Frame closure lives in one place, uwb::FrameAssembler
+// (uwb/streaming_link.hpp): the streaming radio feeds it detected pulse
+// times, and UwbReceiver decodes whole pulse trains through
+// StreamingUwbReceiver, which feeds the same assembler. UwbReceiver and
+// the staged modulate / propagate functions are the reference the radio
+// is checked against.
 
 #include <cstdint>
 #include <memory>

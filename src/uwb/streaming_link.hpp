@@ -1,27 +1,33 @@
 #pragma once
-// Streaming (chunked, bounded-memory) counterparts of the batch UWB link
-// stages: event -> pulse modulation, channel propagation and packet
-// decode. Every stage carries its state (packet ids, Rng streams, reorder
-// and reassembly buffers) across calls and is bit-identical to its batch
-// counterpart for ANY chunking of the same input — the property the
-// streaming session layer (runtime/session.hpp) is built on.
+// The streaming radio: one pass from events to decoded frames. It takes
+// event chunks (D-ATC packets, AER frames or bare ATC markers) and emits
+// each frame's pulse times, applies the channel (gain, erasures, jitter)
+// in TX order, holds back only the pulses a later TX pulse could still
+// jitter ahead of, detects the rest in time order and closes frames.
 //
-// The bit-identicality hinges on two disciplines:
+// One materialisation per pulse: a received time (one Real) in the
+// radio's air buffer, and, once detected, the same time in the frame
+// assembler until its frame closes. No PulseTrain is built, and the
+// per-pulse amplitude is gone: every pulse of a link leaves with the
+// shape's amplitude and crosses the same path loss, so the detection
+// probability is one number per link (RadioPlan), computed once.
 //
-//  1. Watermarks. Each stage receives, along with its input chunk, a time
-//     `watermark` promising that no future input item carries a timestamp
-//     below it. Outputs are released only once they are provably final
-//     (no future item can sort before them / land in their packet
-//     window), so chunk boundaries can never change what is emitted.
+// The staged functions (modulate_datc / modulate_aer / modulate_atc ->
+// propagate -> UwbReceiver) stay as the reference the radio reproduces
+// bit for bit, for ANY chunking of the same events. Two disciplines make
+// that hold:
 //
-//  2. Split Rng streams. The batch receiver used to draw all per-pulse
-//     detection randoms, then all per-frame false-alarm randoms, from one
-//     engine — an order no chunked execution can reproduce. The receiver
-//     now derives two independent streams from its seed Rng (detection in
-//     pulse order, false alarms in frame order); each stream's draw order
-//     is chunk-invariant, so batch and streaming consume identical
-//     sequences. UwbReceiver (uwb/receiver.hpp) is a thin batch wrapper
-//     over this core, making the equivalence hold by construction.
+//  1. Watermarks. Each push carries a TX watermark promising that no
+//     future event has a timestamp below it. A received pulse is released
+//     only once no future pulse can sort before it, and a frame closes
+//     only once no future pulse can land in its window, so chunk
+//     boundaries never change what is emitted.
+//
+//  2. Split Rng streams, derived from the seed exactly as the staged link
+//     derives them: the receiver stream is forked off first, the channel
+//     draws from what is left, and the receiver splits its stream into
+//     per-pulse detection draws (time order) and per-frame false-alarm
+//     draws (frame order). Each stream's order is chunk-invariant.
 
 #include <cstdint>
 #include <span>
@@ -35,105 +41,76 @@
 
 namespace datc::uwb {
 
-/// Chunked event -> pulse modulation (D-ATC packets, optionally with an
-/// AER address field). Stateless except for the diagnostic packet-id
-/// counter; concatenating the chunk outputs reproduces modulate_datc /
-/// modulate_aer on the concatenated events exactly.
-class StreamingModulator {
+/// Frame reassembly from detected pulse times: the one frame closure of
+/// every receive path (StreamingRadio, and StreamingUwbReceiver beneath
+/// UwbReceiver). A detected pulse not claimed by an open frame opens the
+/// next one as its marker; a frame closes once the watermark has passed
+/// its last bit slot plus the slot tolerance. Plain ATC links
+/// (`decode_codes` false) emit every detected pulse as an event.
+class FrameAssembler {
  public:
-  explicit StreamingModulator(const ModulatorConfig& config,
-                              unsigned address_bits = 0);
+  /// `rng` is the false-alarm stream, drawn in frame order.
+  FrameAssembler(const UwbReceiverConfig& config, dsp::Rng rng);
 
-  /// Appends this chunk's pulses to `train` (not cleared). Events must be
-  /// the next contiguous slice of the stream, in time order.
-  void modulate_chunk(std::span<const core::Event> events, PulseTrain& train);
-
-  [[nodiscard]] std::size_t pulses_emitted() const { return pulses_; }
-  [[nodiscard]] std::uint32_t packets_emitted() const { return next_id_; }
-  [[nodiscard]] const ModulatorConfig& config() const { return config_; }
-  [[nodiscard]] unsigned address_bits() const { return address_bits_; }
-
- private:
-  ModulatorConfig config_;
-  unsigned address_bits_{0};
-  std::uint32_t next_id_{0};
-  std::size_t pulses_{0};
-};
-
-/// Chunked channel propagation with carried Rng and a reorder buffer.
-///
-/// The batch `propagate` draws per-pulse randoms in TX (packet) order and
-/// then stable-sorts the received train by time. This class draws in the
-/// same order and releases received pulses in exactly that stable-sorted
-/// order, holding back any pulse a future TX pulse could still sort
-/// before. Jitter is Gaussian (unbounded), so the hold-back slack is a
-/// 12-sigma bound: a larger excursion would break batch parity with
-/// probability ~1e-33 per pulse — far below anything a test or a seed
-/// sweep can encounter, and exactly zero for jitter-free channels.
-///
-/// The held-back remainder is already in time order and new pulses are
-/// appended in TX order, so a stable reorder by time alone of the live
-/// buffer (reorder_by_time: insertion, one move per inversion) equals
-/// the batch order with no TX-sequence tie break. Overlapping frames on a
-/// shared radio cost a few moves per pulse; a chunk that exceeds the
-/// move budget falls back to a stable sort, counted in
-/// reorder_fallbacks(). Released pulses advance a head index; the dead
-/// prefix is reclaimed lazily.
-class StreamingChannel {
- public:
-  StreamingChannel(const ChannelConfig& config, dsp::Rng rng);
-
-  /// Propagates the chunk's TX pulses (in packet order, exactly as the
-  /// batch train is laid out) and advances the TX-time watermark: the
-  /// caller promises every future TX pulse has time_s >= tx_watermark.
-  /// Received pulses that are provably final are appended to `out`.
-  void propagate_chunk(const PulseTrain& tx, Real tx_watermark,
-                       PulseTrain& out);
-
-  /// Releases everything still buffered (end of stream).
-  void flush(PulseTrain& out);
-
-  /// Every future released pulse has time_s >= this bound.
-  [[nodiscard]] Real release_watermark() const { return release_watermark_; }
-  [[nodiscard]] std::size_t erased() const { return erased_; }
-  [[nodiscard]] std::size_t pulses_in() const { return pulses_in_; }
-  [[nodiscard]] std::size_t buffered() const {
-    return buffer_.size() - head_;
-  }
-  /// Releases whose reorder ran past its move budget and stable-sorted.
-  [[nodiscard]] std::size_t reorder_fallbacks() const {
-    return reorder_fallbacks_;
+  /// Takes the next detected pulse; pulses arrive in time order.
+  void accept(Real time_s, core::EventStream& out) {
+    if (config_.decode_codes) {
+      pending_.push_back(time_s);
+    } else {
+      out.add(time_s, 0);
+    }
   }
 
+  /// Promises that no future pulse has time_s < watermark, and appends
+  /// every frame that promise closes to `out`, in marker-time order.
+  void advance(Real watermark, core::EventStream& out);
+
+  /// Every future event has time_s >= this bound.
+  [[nodiscard]] Real event_time_watermark() const;
+
+  /// Detected pulses awaiting frame closure.
+  [[nodiscard]] std::size_t pending() const {
+    return pending_.size() - head_;
+  }
+  [[nodiscard]] std::size_t pending_capacity() const {
+    return pending_.capacity();
+  }
+
+  /// Forgets the stream position for a new independent train; requires
+  /// every frame closed. The false-alarm stream and the stats carry on.
+  void reset_stream();
+
+  /// Receive-side counters. The assembler counts frames and false-alarm
+  /// bits; the detection stage in front of it adds its pulse counts.
+  [[nodiscard]] DecodeStats& stats() { return stats_; }
+  [[nodiscard]] const DecodeStats& stats() const { return stats_; }
+
  private:
-  ChannelConfig config_;
+  UwbReceiverConfig config_;
   dsp::Rng rng_;
-  Real gain_;
-  Real jitter_slack_;
-  std::vector<PulseEmission> buffer_;  ///< live window is [head_, size)
+  Real inv_ts_;  ///< 1 / symbol period, the slot decode's scale
+  DecodeStats stats_;
+  /// Detected, unclaimed pulse times in time order. The live window is
+  /// [head_, size): frame closure advances the head instead of erasing
+  /// from the front, and the dead prefix is reclaimed lazily.
+  std::vector<Real> pending_;
   std::size_t head_{0};
-  std::vector<Real> jitter_scratch_;  ///< batched jitter draws, reused
-  std::size_t reorder_fallbacks_{0};
-  std::size_t erased_{0};
-  std::size_t pulses_in_{0};
-  Real release_watermark_{0.0};
+  Real watermark_;
 
-  void release_below(Real threshold, PulseTrain& out);
+  void close_front_frame(core::EventStream& out);
 };
 
-/// Incremental energy-detection receiver: keeps open-packet reassembly
-/// state across decode_chunk() calls, so frames spanning a chunk boundary
-/// are reassembled exactly as if the whole train had been decoded at
-/// once. Statistics accumulate across calls (see DecodeStats).
+/// Energy-detection receiver over received pulse trains, fed in chunks:
+/// per-pulse detection (energy from each pulse's amplitude) in front of a
+/// FrameAssembler. The batch UwbReceiver decodes whole trains through it;
+/// the pulses must arrive globally time-sorted across calls.
 class StreamingUwbReceiver {
  public:
   StreamingUwbReceiver(const UwbReceiverConfig& config,
                        const ChannelConfig& channel, dsp::Rng rng);
 
-  /// Decodes the next chunk of received pulses. Pulses must arrive
-  /// globally time-sorted across calls (StreamingChannel's output order);
-  /// `watermark` promises no future pulse has time_s < watermark.
-  /// Completed events are appended to `out` in marker-time order.
+  /// Decodes the next chunk; `watermark` promises no future pulse has
+  /// time_s < watermark. Completed events are appended to `out`.
   void decode_chunk(const PulseTrain& rx, Real watermark,
                     core::EventStream& out);
 
@@ -141,44 +118,108 @@ class StreamingUwbReceiver {
   void flush(core::EventStream& out);
 
   /// Cumulative statistics over every chunk decoded so far.
-  [[nodiscard]] const DecodeStats& stats() const { return stats_; }
+  [[nodiscard]] const DecodeStats& stats() const { return frames_.stats(); }
 
-  /// Every future decoded event has time_s >= this bound.
-  [[nodiscard]] Real event_time_watermark() const;
-
-  /// Detected pulses awaiting frame closure.
-  [[nodiscard]] std::size_t pending() const {
-    return pending_.size() - pend_head_;
-  }
-
-  /// Forgets stream position (watermark, open frames) for a new
-  /// independent train; Rng streams and cumulative stats carry on. The
-  /// batch UwbReceiver calls this between decode() calls.
-  void reset_stream();
+  /// Forgets the stream position for a new independent train; Rng
+  /// streams and cumulative stats carry on.
+  void reset_stream() { frames_.reset_stream(); }
 
  private:
   UwbReceiverConfig config_;
-  ChannelConfig channel_;
-  dsp::Rng rng_detect_;  ///< per-pulse detection draws, pulse order
-  dsp::Rng rng_frame_;   ///< per-frame false-alarm draws, frame order
+  dsp::Rng rng_detect_;   ///< per-pulse detection draws, pulse order
   DetectionModel model_;  ///< threshold solve hoisted out of the pulse loop
-  DecodeStats stats_;
   Real unit_pulse_energy_;  ///< energy of the shape at 1 V peak
-  Real inv_ts_;             ///< 1 / symbol period, the slot decode's scale
   Real cached_energy_{-1.0};
   Real cached_pd_{0.0};
-  /// Detected, unclaimed pulses in time order. The live window is
-  /// [pend_head_, size): frame closure advances the head instead of
-  /// erasing from the front, and the dead prefix is reclaimed lazily.
-  std::vector<PulseEmission> pending_;
-  std::size_t pend_head_{0};
   std::vector<Real> scratch_amp_;     ///< SoA chunk amplitudes, reused
   std::vector<Real> scratch_energy_;  ///< SoA chunk energies, reused
-  Real watermark_{0.0};
-  bool saw_pulse_{false};
+  FrameAssembler frames_;
+};
 
-  void close_frames(Real closable_before, core::EventStream& out);
-  void close_front_frame(core::EventStream& out);
+/// What every radio of one link configuration shares: the frame layout
+/// and detector (`receiver`; `decode_codes` false selects bare ATC
+/// markers), the channel, and the detection probability of the one
+/// received pulse amplitude. Building it costs the unit-pulse energy
+/// integral and the CFAR threshold solve, so a batch runner builds one
+/// and seeds a radio per channel from it.
+struct RadioPlan {
+  RadioPlan(const UwbReceiverConfig& receiver, const ChannelConfig& channel);
+
+  UwbReceiverConfig receiver;
+  ChannelConfig channel;
+  Real pd;  ///< detection probability of every received pulse
+};
+
+/// Events to decoded frames in one pass (see the file comment). Draws
+/// from the Rng streams the staged link derives from `seed`, so a radio
+/// fed any chunking of an event stream and flushed reproduces
+/// modulate -> propagate -> UwbReceiver::decode on the whole stream.
+///
+/// Jitter is Gaussian (unbounded), so the hold-back slack is 12 sigma: a
+/// larger excursion would break parity with probability ~1e-33 per pulse,
+/// and exactly never on a jitter-free channel. The held pulses are in
+/// time order and new ones are appended in TX order, so a stable reorder
+/// by time (reorder_by_time: insertion, one move per inversion) of the
+/// live buffer restores the staged order (pulses of one link share one
+/// amplitude, so a time is all the receiver reads of a pulse); a release
+/// that exceeds the move budget sorts instead and is counted in
+/// reorder_fallbacks().
+class StreamingRadio {
+ public:
+  StreamingRadio(const RadioPlan& plan, std::uint64_t seed);
+
+  /// Transmits the next events (none earlier than the TX watermark
+  /// already given) and advances the TX watermark: every future event has
+  /// time_s >= tx_watermark. Decoded events that are final are appended
+  /// to `out` in time order. A time-ordered chunk is released block by
+  /// block as it is transmitted; any other chunk once, at its end.
+  void push(std::span<const core::Event> events, Real tx_watermark,
+            core::EventStream& out);
+
+  /// End of stream: releases every held pulse and closes every frame.
+  void flush(core::EventStream& out);
+
+  /// Every future decoded event has time_s >= this bound.
+  [[nodiscard]] Real event_time_watermark() const {
+    return frames_.event_time_watermark();
+  }
+  [[nodiscard]] const DecodeStats& stats() const { return frames_.stats(); }
+  [[nodiscard]] std::size_t pulses_tx() const { return pulses_tx_; }
+  [[nodiscard]] std::size_t erased() const { return erased_; }
+  /// Received pulses held back for reordering.
+  [[nodiscard]] std::size_t buffered() const { return air_.size() - head_; }
+  /// Detected pulses awaiting frame closure.
+  [[nodiscard]] std::size_t pending() const { return frames_.pending(); }
+  /// Releases whose reorder ran past its move budget and sorted.
+  [[nodiscard]] std::size_t reorder_fallbacks() const {
+    return reorder_fallbacks_;
+  }
+  /// Bytes held in the radio's buffers (capacity, not live size).
+  [[nodiscard]] std::size_t buffered_bytes() const;
+
+ private:
+  struct Rngs {
+    dsp::Rng channel;
+    dsp::Rng detect;
+    dsp::Rng frame;
+  };
+  StreamingRadio(const RadioPlan& plan, Rngs rngs);
+
+  RadioPlan plan_;
+  dsp::Rng rng_channel_;  ///< erasure and jitter draws, TX order
+  dsp::Rng rng_detect_;   ///< detection draws, release (time) order
+  FrameAssembler frames_;
+  Real jitter_slack_;
+  std::vector<Real> air_;  ///< received times; live window [head_, size)
+  std::size_t head_{0};
+  std::vector<Real> jitter_;  ///< one block's jitter draws, reused
+  Real release_watermark_;
+  std::size_t pulses_tx_{0};
+  std::size_t erased_{0};
+  std::size_t reorder_fallbacks_{0};
+
+  void transmit(std::span<const core::Event> events);
+  void release_below(Real threshold, core::EventStream& out);
 };
 
 }  // namespace datc::uwb
